@@ -582,13 +582,13 @@ fn main() {
                 (
                     "description",
                     Json::from(
-                        "per-home discrete-event loop: bucketed calendar/timing-wheel \
+                        "per-home discrete-event loop: compact (time, seq) binary-heap \
                          event queue (recycled across homes), allocation-free EffectBuf \
                          delivery, per-device probe elision; single-worker morning \
                          throughput is the gated number",
                     ),
                 ),
-                ("queue", Json::from("calendar_wheel")),
+                ("queue", Json::from("binary_heap")),
                 ("available_parallelism", Json::from(cpus as u64)),
                 ("homes_per_sec_single", Json::Float(round3(single_rate))),
             ]),

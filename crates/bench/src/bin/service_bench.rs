@@ -8,7 +8,7 @@
 //! diurnal rate curve, fleet-seed burst windows — see
 //! `safehome_workloads::scenarios::service`) keeps submitting routines.
 //! The resident runner (`safehome_harness::run_service`) advances homes
-//! in epoch slices off per-shard timer wheels, with idle workers
+//! in epoch slices off per-shard timer queues, with idle workers
 //! stealing slices across shards, so a burst in one home never starves
 //! its neighbours and a skewed shard never idles the rest of the fleet.
 //!
@@ -273,7 +273,7 @@ fn main() {
         }
 
         // Determinism: byte-identical per-home results at every worker
-        // count (the resident wheel must not perturb any home).
+        // count (the resident timer queues must not perturb any home).
         let (_, _, base) = &runs[0];
         for (workers, _, result) in &runs[1..] {
             if base.homes != result.homes {
@@ -767,7 +767,7 @@ fn main() {
             Json::from(
                 "resident-fleet service mode: open-loop Poisson arrivals \
                  (diurnal curve + seeded burst windows) over resident homes, \
-                 advanced in epoch slices off per-shard timer wheels with \
+                 advanced in epoch slices off per-shard timer queues with \
                  idle-worker slice stealing; latency percentiles are \
                  simulated-time milliseconds from the constant-memory fleet \
                  histogram (machine-independent); determinism, batch-parity, \

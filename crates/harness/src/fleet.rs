@@ -69,8 +69,8 @@ pub struct WorkerStats {
     pub homes_run: usize,
     /// Successful steals: batches taken from another worker's shard
     /// cursor or deque (batch fleet), or slices popped from a victim
-    /// shard's wheel (service). Always 0 under [`FleetSchedule::Static`]
-    /// and with service stealing off.
+    /// shard's timer queue (service). Always 0 under
+    /// [`FleetSchedule::Static`] and with service stealing off.
     pub steals: u64,
     /// Epoch slices this worker executed. Always 0 for the batch fleet
     /// driver, which has no slicing.

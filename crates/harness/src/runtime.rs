@@ -10,7 +10,7 @@
 //! every backend.
 //!
 //! A [`Backend`] supplies what differs: the clock, device I/O and the
-//! event source. [`crate::sim::SimBackend`] wraps the calendar-wheel
+//! event source. [`crate::sim::SimBackend`] wraps the binary-heap
 //! [`safehome_sim::EventQueue`] plus a `Vec` of
 //! [`safehome_devices::VirtualDevice`]s (the discrete-event harness —
 //! [`crate::Driver`] is `HomeRuntime` over it); `safehome-kasa`'s

@@ -10,7 +10,7 @@
 //!
 //! [`run_service`] keeps all of a worker's homes alive at once and
 //! advances them in **epoch slices**: each worker owns a contiguous
-//! shard of homes and a shard timer wheel ([`EventQueue`]) of
+//! shard of homes and a shard timer queue ([`EventQueue`]) of
 //! `(next-event-time, home)` entries. The worker pops the earliest
 //! entry, advances that home only through events due before the next
 //! epoch boundary, then re-parks it at its next pending event. A home
@@ -19,14 +19,14 @@
 //!
 //! # Work stealing
 //!
-//! The shard wheels are shared behind cheap mutexes: when a worker's own
-//! wheel is empty ([`ServiceConfig::steal`], the default), it sweeps the
-//! other shards and steals the earliest parked `(next-event-time, home)`
-//! entry, stepping that home through exactly one epoch slice the way the
-//! owner would, then re-parking it **into its home shard**. Homes never
-//! migrate — only slices do — so a skewed fleet (one burst-heavy "giant
-//! factory" home per shard) no longer stalls a whole worker while its
-//! siblings idle.
+//! The shard timer queues are shared behind cheap mutexes: when a
+//! worker's own queue is empty ([`ServiceConfig::steal`], the default),
+//! it sweeps the other shards and steals the earliest parked
+//! `(next-event-time, home)` entry, stepping that home through exactly
+//! one epoch slice the way the owner would, then re-parking it **into
+//! its home shard**. Homes never migrate — only slices do — so a skewed
+//! fleet (one burst-heavy "giant factory" home per shard) no longer
+//! stalls a whole worker while its siblings idle.
 //!
 //! # Determinism
 //!
@@ -35,9 +35,9 @@
 //! up to the next absolute epoch boundary **after the home's own
 //! earliest pending event**, and re-parks it at its next event: both the
 //! boundary and the re-park time come from the home's private event
-//! queue, never from the shard wheel's clock. The wheel is purely an
-//! advisory scheduler — concurrent pops can clamp a re-parked entry's
-//! *wheel* timestamp forward ([`EventQueue`] never schedules in its
+//! queue, never from the shard queue's clock. The shard queue is purely
+//! an advisory scheduler — concurrent pops can clamp a re-parked entry's
+//! *shard-queue* timestamp forward ([`EventQueue`] never schedules in its
 //! past), which may reorder slices *between* homes, but homes share no
 //! state, so per-home counters, digests and even the total slice count
 //! are byte-identical across worker counts, steal on/off and any
@@ -120,7 +120,7 @@ pub struct ServiceConfig {
     /// Epoch slice length: slice boundaries are absolute simulated-time
     /// multiples of this.
     pub epoch: TimeDelta,
-    /// Idle workers steal slices from other shards' wheels. On by
+    /// Idle workers steal slices from other shards' timer queues. On by
     /// default; turning it off reproduces the static PR 8 behaviour
     /// (useful for A/B digest checks and steal-benefit measurement).
     pub steal: bool,
@@ -134,10 +134,11 @@ pub struct ServiceConfig {
     /// Intra-home parallelism planner. `Some` asks it to partition each
     /// home into conflict clusters ([`crate::intra`]); a home it splits
     /// runs as independent sub-slices — each cluster its own schedulable
-    /// unit on the wheel, stealable like any whole-home slice — and is
-    /// folded back into one byte-identical [`RunCounters`] when its last
-    /// cluster finishes. Homes the planner declines (or that later trip
-    /// a fallback, e.g. a stalled sub-run) take the sequential path.
+    /// unit on the shard timer queue, stealable like any whole-home
+    /// slice — and is folded back into one byte-identical
+    /// [`RunCounters`] when its last cluster finishes. Homes the planner
+    /// declines (or that later trip a fallback, e.g. a stalled sub-run)
+    /// take the sequential path.
     /// The canonical planner is `safehome_lint::cluster::planner()`,
     /// injected as a callback for the same layering reason as the lint
     /// spec gate.
@@ -229,7 +230,7 @@ pub struct ServiceResult {
     /// state). Without eviction this is simply the fleet size.
     pub peak_resident_homes: usize,
     /// Approximate heap bytes one *resident* home pins (largest observed
-    /// sample: event-queue capacity + device slots).
+    /// sample: event-queue capacity + device slots + journal, if any).
     pub approx_resident_home_bytes: usize,
     /// Approximate heap bytes one *evicted* home retains (largest
     /// observed sample: journal + device states + RNG). 0 when nothing
@@ -314,8 +315,8 @@ where
 }
 
 /// One schedulable unit: a whole home, or one conflict cluster of a
-/// home the intra-home planner split. Units are what the shard wheels
-/// park and pop — a split home's clusters are stealable independently,
+/// home the intra-home planner split. Units are what the shard timer
+/// queues park and pop — a split home's clusters are stealable independently,
 /// which is the whole point: a heavy home stops being one indivisible
 /// lump of work.
 #[derive(Debug, Clone, Copy)]
@@ -373,10 +374,10 @@ struct EvictedHome {
 /// One shard's shared scheduling state.
 #[derive(Default)]
 struct ShardCore {
-    /// Timer wheel of parked units. The payload carries the *true* park
-    /// time: concurrent pops may clamp the wheel timestamp forward, and
+    /// Timer queue of parked units. The payload carries the *true* park
+    /// time: concurrent pops may clamp the queued timestamp forward, and
     /// the candidate bookkeeping below must match the original.
-    wheel: EventQueue<(usize, Timestamp)>,
+    timers: EventQueue<(usize, Timestamp)>,
     /// Parked units currently satisfying the full evictability
     /// condition, keyed by eviction score — `last` is the best victim.
     /// Kept exactly in sync with `scores` below: every mutation goes
@@ -385,7 +386,7 @@ struct ShardCore {
     /// at most one live entry and an entry can never outlive a pop or
     /// an eviction race (entries used to linger when an evicted home's
     /// concurrent re-park re-inserted it; consumers still re-validate
-    /// under the slot lock before acting, as the wheel pop itself can
+    /// under the slot lock before acting, as the timer pop itself can
     /// race the claim).
     parked: BTreeSet<(u64, usize)>,
     /// Side index: unit → its current score key in `parked`. The single
@@ -677,8 +678,8 @@ where
     result
 }
 
-/// One worker: builds its own shard's homes, then slices — own wheel
-/// first, stealing from the other shards when it runs dry.
+/// One worker: builds its own shard's homes, then slices — own timer
+/// queue first, stealing from the other shards when it runs dry.
 fn service_worker<'a>(
     ctx: &ServiceCtx<'a>,
     w: usize,
@@ -703,7 +704,7 @@ fn service_worker<'a>(
                 ctx.shards[w]
                     .lock()
                     .expect("shard")
-                    .wheel
+                    .timers
                     .schedule(next, (unit, next));
                 continue;
             }
@@ -715,12 +716,14 @@ fn service_worker<'a>(
             } else {
                 Driver::with_sink(spec, RunCounters::new())
             };
-            if home == lo {
-                ctx.resident_bytes
-                    .fetch_max(d.backend().approx_resident_bytes(), Ordering::SeqCst);
-            }
             let next = d.backend().next_event_at().unwrap_or(Timestamp::ZERO);
             let replay_cost = d.journal().map_or(0, ExecutionJournal::approx_bytes);
+            if home == lo {
+                ctx.resident_bytes.fetch_max(
+                    d.backend().approx_resident_bytes() + replay_cost,
+                    Ordering::SeqCst,
+                );
+            }
             let evictable = {
                 let mut slot = ctx.slots[unit].lock().expect("slot");
                 let evictable = slot.evictable_spec
@@ -732,7 +735,7 @@ fn service_worker<'a>(
             ctx.note_resident();
             {
                 let mut sc = ctx.shards[w].lock().expect("shard");
-                sc.wheel.schedule(next, (unit, next));
+                sc.timers.schedule(next, (unit, next));
                 if evictable {
                     sc.park_candidate(unit, ctx.eviction_score(next, replay_cost));
                 }
@@ -779,15 +782,15 @@ fn service_worker<'a>(
 /// eviction-candidate set. Returns `(shard, unit)`.
 fn pop_shard(ctx: &ServiceCtx<'_>, s: usize) -> Option<(usize, usize)> {
     let mut sc = ctx.shards[s].lock().expect("shard");
-    let (_, (unit, _next)) = sc.wheel.pop()?;
+    let (_, (unit, _next)) = sc.timers.pop()?;
     sc.unpark_candidate(unit);
     Some((s, unit))
 }
 
 /// Advances one epoch slice: runs `d` through every event strictly
 /// before the next absolute epoch boundary after its own earliest
-/// pending event. Never derive that boundary from the wheel's popped
-/// timestamp: concurrent pops may have clamped it forward, and slice
+/// pending event. Never derive that boundary from the shard queue's
+/// popped timestamp: concurrent pops may have clamped it forward, and slice
 /// structure must stay a property of the unit and the epoch grid alone.
 ///
 /// Returns `Some(next_event)` when the unit should re-park, `None` when
@@ -849,7 +852,7 @@ fn run_slice<'a>(
             evictable_spec && d.engine().quiescent() && d.backend().only_submits_pending();
         let replay_cost = d.journal().map_or(0, ExecutionJournal::approx_bytes);
         let mut sc = ctx.shards[shard].lock().expect("shard");
-        sc.wheel.schedule(next, (unit, next));
+        sc.timers.schedule(next, (unit, next));
         if evictable {
             sc.park_candidate(unit, ctx.eviction_score(next, replay_cost));
         }
@@ -906,7 +909,7 @@ fn run_sub_slice<'a>(
                 ctx.shards[shard]
                     .lock()
                     .expect("shard")
-                    .wheel
+                    .timers
                     .schedule(next, (unit, next));
                 false
             }
@@ -995,7 +998,7 @@ fn merge_home<'a>(
 /// (starting at `shard`, the caller's, to spread lock pressure) — a
 /// worker stealing slices from a busy shard keeps recovering that
 /// shard's homes while the cold ones sit parked elsewhere. Candidates
-/// are re-validated under the slot lock: a wheel pop can race the
+/// are re-validated under the slot lock: a timer pop can race the
 /// claim.
 fn evict_over_budget(ctx: &ServiceCtx<'_>, shard: usize) {
     let Some(max) = ctx.max_resident else { return };
@@ -1035,8 +1038,10 @@ fn evict_over_budget(ctx: &ServiceCtx<'_>, shard: usize) {
             unreachable!()
         };
         let (journal, backend) = d.crash();
-        ctx.resident_bytes
-            .fetch_max(backend.approx_resident_bytes(), Ordering::SeqCst);
+        ctx.resident_bytes.fetch_max(
+            backend.approx_resident_bytes() + journal.approx_bytes(),
+            Ordering::SeqCst,
+        );
         let (device_states, rng) = backend.into_world_snapshot();
         ctx.evicted_bytes.fetch_max(
             journal.approx_bytes()
@@ -1090,7 +1095,7 @@ mod tests {
     use safehome_types::{DeviceId, Routine, Value};
 
     /// An open-loop-shaped home: arrivals spread over a long, sparse
-    /// horizon (exercising the wheel's outer levels), and a seeded
+    /// horizon (hour-scale gaps on the shard timer queues), and a seeded
     /// minority of homes carry a fail-stop plan (exercising probe
     /// events and aborts under slicing, and pinning such homes resident
     /// under eviction).
@@ -1522,7 +1527,7 @@ mod tests {
 
     #[test]
     fn sparse_fleet_slices_far_fewer_times_than_events() {
-        // The wheel parks homes across their hour-scale gaps: the slice
+        // The timer queue parks homes across their hour-scale gaps: the slice
         // count must track arrival clusters, not total event count.
         let epoch_s = 10u64;
         let r = run_service(10, 2, 3, TimeDelta::from_secs(epoch_s), service_shaped_home);

@@ -1,6 +1,6 @@
 //! The discrete-event backend and run driver.
 //!
-//! [`SimBackend`] is the virtual-time [`Backend`]: a calendar-wheel
+//! [`SimBackend`] is the virtual-time [`Backend`]: a binary-heap
 //! [`EventQueue`], a vec of [`VirtualDevice`]s, the ping-based
 //! [`FailureDetector`] and the seeded latency RNG. [`Driver`] is the
 //! [`HomeRuntime`] over it — the same mediation layer the kasa real-time
@@ -132,7 +132,7 @@ fn pooled_home() -> PooledHome {
 
 impl PooledHome {
     /// Approximate heap footprint of one pooled bundle: the dominant
-    /// retained allocations (queue buckets/deques and device slots).
+    /// retained allocations (queue heap capacity and device slots).
     /// Table vectors are small by comparison and not chased.
     fn approx_bytes(&self) -> usize {
         self.queue.approx_bytes() + self.devices.capacity() * std::mem::size_of::<VirtualDevice>()
@@ -141,11 +141,11 @@ impl PooledHome {
 
 /// Point-in-time accounting for the calling thread's home-state pool.
 ///
-/// The per-home resident footprint is dominated by exactly what the pool
-/// recycles — the calendar-wheel bucket arrays and the device slots — so
-/// `approx_bytes / bundles.max(1)` doubles as the service runner's
-/// estimate of what one *resident* home pins versus one evicted home
-/// (journal + device values + RNG).
+/// The pool recycles a home's simulator state: the event queue's heap
+/// capacity and the device slots. That is a resident home's footprint
+/// minus its journal, which a journaled home holds on top and which the
+/// service runner adds when it samples
+/// `ServiceResult::approx_resident_home_bytes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HomePoolStats {
     /// Recycled bundles currently parked in the pool.
@@ -308,7 +308,7 @@ impl<'a> SimBackend<'a> {
     ///
     /// The resident service runner uses this to park a home between
     /// epochs: a home whose next event lies past the epoch boundary is
-    /// re-queued on the timer wheel instead of being stepped. Peeking
+    /// re-queued on its shard's timer queue instead of being stepped. Peeking
     /// never perturbs the queue, so slicing a run at arbitrary epoch
     /// boundaries replays the exact event sequence of an unsliced run.
     pub fn next_event_at(&self) -> Option<Timestamp> {
@@ -326,9 +326,10 @@ impl<'a> SimBackend<'a> {
     }
 
     /// Approximate heap bytes this backend pins while resident: the
-    /// event queue's retained capacity plus the device slots. The
-    /// companion durable footprint is the journal's
-    /// `ExecutionJournal::approx_bytes`.
+    /// event queue's retained capacity plus the device slots. A
+    /// journaled home also holds its journal
+    /// (`ExecutionJournal::approx_bytes`), which is also what survives
+    /// eviction; the service runner sums the two for a resident home.
     pub fn approx_resident_bytes(&self) -> usize {
         self.queue.approx_bytes() + self.devices.capacity() * std::mem::size_of::<VirtualDevice>()
     }

@@ -11,6 +11,13 @@ use core::fmt;
 
 use crate::error::{Error, Result};
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a hostile document of
+/// nested `[` overflows the stack and aborts the process; with it, such
+/// input is an ordinary parse error. Far above anything the spec,
+/// journal or Kasa formats nest.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -38,7 +45,11 @@ impl Json {
 
     /// Parses a JSON document from bytes (must be UTF-8).
     pub fn parse_bytes(bytes: &[u8]) -> Result<Json> {
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -243,6 +254,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -280,8 +293,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -474,6 +498,18 @@ mod tests {
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("truth").is_err());
+    }
+
+    #[test]
+    fn rejects_hostile_nesting_without_overflowing_the_stack() {
+        // Runs on the default test thread stack: unbounded recursion over
+        // 100k levels would abort the whole process, not fail the test.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(100_000)).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let past = format!("[{at_limit}]");
+        assert!(Json::parse(&past).is_err());
     }
 
     #[test]
