@@ -13,8 +13,16 @@
 //! along with their constraints — they "do not appear in the final
 //! serialized order"). The metrics crate replays the witness order to
 //! verify serial equivalence and to compute the order-mismatch metric.
+//!
+//! Committed routines and events stay in the order for the whole run, so
+//! the node count `N` grows with a home's history, not with the routines
+//! in flight. Every operation is therefore built to stay cheap as `N`
+//! grows: nodes live in dense slots, and the transitive closure is one
+//! flat bit matrix of `N` rows of `W = ⌈N/64⌉` words (see
+//! [`OrderTracker`] for the per-operation costs).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use safehome_types::{trace::OrderItem, DeviceId, RoutineId, Timestamp};
 
@@ -29,10 +37,31 @@ pub enum OrderNode {
     Restart(u32),
 }
 
+impl OrderNode {
+    /// Which node→slot map holds the node, and its index there.
+    fn map_key(self) -> (usize, usize) {
+        match self {
+            OrderNode::Routine(r) => (0, r.raw() as usize),
+            OrderNode::Failure(s) => (1, s as usize),
+            OrderNode::Restart(s) => (2, s as usize),
+        }
+    }
+
+    /// Witness-order tie-break among ready nodes: routines by id (that
+    /// is, submission order), then events by sequence number.
+    fn witness_key(self) -> (u8, u64) {
+        match self {
+            OrderNode::Routine(r) => (0, r.raw()),
+            OrderNode::Failure(s) | OrderNode::Restart(s) => (1, s as u64),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct NodeInfo {
-    /// Commit time for routines, detection time for events; used only as
-    /// a deterministic tie-break in the witness order.
+    /// Submission, then commit, time for routines; detection time for
+    /// events. Kept for debugging output; the witness order does not
+    /// read it.
     time: Timestamp,
     device: Option<DeviceId>,
     /// Routines start pending and become committed or are removed;
@@ -40,66 +69,146 @@ struct NodeInfo {
     committed: bool,
 }
 
-/// A growable bitset row of the reachability closure.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct BitRow(Vec<u64>);
+/// One dense slot: a node, its registration and its direct edges.
+#[derive(Debug, Clone)]
+struct Slot {
+    node: OrderNode,
+    /// `None` while the node only appears in edges (it was never
+    /// registered, so it never enters the witness order).
+    info: Option<NodeInfo>,
+    /// Direct successors and predecessors, as slots, each edge once.
+    succ: Vec<u32>,
+    pred: Vec<u32>,
+}
 
-impl BitRow {
-    fn set(&mut self, i: u32) {
-        let word = (i / 64) as usize;
-        if word >= self.0.len() {
-            self.0.resize(word + 1, 0);
+/// The reachability closure: one contiguous row-major bit matrix.
+///
+/// Row `i` occupies `bits[i * stride..(i + 1) * stride]`; bit `j` of it
+/// is set iff slot `i` reaches slot `j`, and every live row holds its
+/// own bit. Free rows are all zero. The stride is a power of two that
+/// doubles when the slot count outgrows it, and row operations touch
+/// only the `⌈rows/64⌉` words that can hold set bits.
+#[derive(Debug, Clone, Default)]
+struct BitMatrix {
+    stride: usize,
+    rows: usize,
+    bits: Vec<u64>,
+}
+
+impl BitMatrix {
+    /// Appends an all-zero row, widening every row first if the new
+    /// column does not fit.
+    fn push_row(&mut self) {
+        if self.rows == self.stride * 64 {
+            let wide = (self.stride * 2).max(1);
+            let mut bits = vec![0; self.rows * wide];
+            if self.stride > 0 {
+                for (dst, src) in bits
+                    .chunks_exact_mut(wide)
+                    .zip(self.bits.chunks_exact(self.stride))
+                {
+                    dst[..self.stride].copy_from_slice(src);
+                }
+            }
+            self.bits = bits;
+            self.stride = wide;
         }
-        self.0[word] |= 1 << (i % 64);
+        self.rows += 1;
+        self.bits.resize(self.rows * self.stride, 0);
     }
 
-    fn test(&self, i: u32) -> bool {
-        self.0
-            .get((i / 64) as usize)
-            .is_some_and(|w| w & (1 << (i % 64)) != 0)
+    /// Words per row that can hold set bits.
+    fn words(&self) -> usize {
+        self.rows.div_ceil(64)
     }
 
-    /// ORs `other` in; returns `true` if any bit changed.
-    fn or_assign(&mut self, other: &BitRow) -> bool {
-        if other.0.len() > self.0.len() {
-            self.0.resize(other.0.len(), 0);
-        }
-        let mut changed = false;
-        for (w, &o) in self.0.iter_mut().zip(&other.0) {
-            let next = *w | o;
-            changed |= next != *w;
-            *w = next;
-        }
-        changed
+    fn row(&self, i: u32) -> &[u64] {
+        let at = i as usize * self.stride;
+        &self.bits[at..at + self.words()]
     }
 
-    fn clear(&mut self) {
-        self.0.clear();
+    fn row_mut(&mut self, i: u32) -> &mut [u64] {
+        let (at, words) = (i as usize * self.stride, self.words());
+        &mut self.bits[at..at + words]
+    }
+
+    fn test(&self, i: u32, j: u32) -> bool {
+        self.bits[i as usize * self.stride + j as usize / 64] & (1 << (j % 64)) != 0
+    }
+
+    /// Resets row `i` to just its own bit.
+    fn reset_row(&mut self, i: u32) {
+        self.row_mut(i).fill(0);
+        self.bits[i as usize * self.stride + i as usize / 64] |= 1 << (i % 64);
+    }
+
+    /// ORs row `src` into row `dst` in place.
+    fn or_row(&mut self, dst: u32, src: u32) {
+        let (d, s, words) = (
+            dst as usize * self.stride,
+            src as usize * self.stride,
+            self.words(),
+        );
+        let (to, from) = if d < s {
+            let (lo, hi) = self.bits.split_at_mut(s);
+            (&mut lo[d..d + words], &hi[..words])
+        } else if d > s {
+            let (lo, hi) = self.bits.split_at_mut(d);
+            (&mut hi[..words], &lo[s..s + words])
+        } else {
+            return;
+        };
+        for (t, &f) in to.iter_mut().zip(from) {
+            *t |= f;
+        }
     }
 }
 
+/// Marks an unmapped entry of a node→slot map.
+const NO_SLOT: u32 = u32::MAX;
+
 /// The partial-order tracker.
 ///
-/// Alongside the raw constraint graph it maintains the full transitive
-/// closure as per-node bitset rows, updated incrementally on every edge
-/// insertion — so [`OrderTracker::reaches`] and
-/// [`OrderTracker::placement_conflicts`] (the per-gap test of the
-/// Timeline planner's inner loop, Fig. 15d) are O(1) bit probes instead
-/// of a DFS per query. Removing an aborted routine rebuilds the closure;
-/// aborts are rare next to placement probes.
+/// Nodes live in dense slots, reused after removals. A node→slot map
+/// per node kind is a vector indexed by routine id or event sequence
+/// number, so it takes memory in proportion to the largest id (the
+/// engine numbers routines densely from 1). Each slot keeps its node,
+/// its registration and its direct successor and predecessor lists.
+/// Alongside that graph the tracker keeps the full transitive closure
+/// in one flat row-major bit matrix. With `N` slots,
+/// `W = ⌈N/64⌉` closure words per row and `A` ancestors of the node an
+/// operation touches, the costs are:
+///
+/// - [`reaches`](Self::reaches) and, per `(pre, post)` pair,
+///   [`placement_conflicts`](Self::placement_conflicts) — the per-gap
+///   test of the Timeline planner's inner loop (Fig. 15d) — are two
+///   vector lookups and one bit probe.
+/// - [`add_edge`](Self::add_edge) from `a` to an already reachable `b`
+///   adds no reachability and costs one scan of the shorter of the two
+///   endpoint edge lists (to drop a duplicate edge). Otherwise one O(N)
+///   column scan finds the ancestors of `a`, and `b`'s row is ORed into
+///   each of them in place, O(N + A·W).
+/// - [`remove_routine`](Self::remove_routine) unlinks the node's edges,
+///   then repairs only the rows that can change — the removed node's
+///   ancestors — from their successors, O(N + A·log A + Σ out-degree·W).
+/// - [`witness_order`](Self::witness_order) is a Kahn pass over the
+///   slots, O((N + E)·log N).
+///
+/// The matrix takes `N·W` words; its stride doubles as `N` grows, so the
+/// growth copies are amortized O(N·W) in total.
 #[derive(Debug, Clone, Default)]
 pub struct OrderTracker {
-    nodes: BTreeMap<OrderNode, NodeInfo>,
-    edges: BTreeSet<(OrderNode, OrderNode)>,
-    succ: BTreeMap<OrderNode, Vec<OrderNode>>,
-    next_event_seq: u32,
-    /// Dense slot assignment for closure rows.
-    index: BTreeMap<OrderNode, u32>,
+    /// Routine, failure and restart node→slot maps (see
+    /// `OrderNode::map_key`); `NO_SLOT` marks an absent node.
+    slot_of: [Vec<u32>; 3],
+    slots: Vec<Slot>,
     /// Slots freed by removed routines, reused by later nodes.
     free_slots: Vec<u32>,
-    /// `reach[i]` holds bit `j` iff slot `i`'s node reaches slot `j`'s
-    /// (every row includes its own bit).
-    reach: Vec<BitRow>,
+    closure: BitMatrix,
+    /// Abort-repair buffer of `(old popcount, ancestor slot)`, reused
+    /// across removals.
+    repair: Vec<(u32, u32)>,
+    next_event_seq: u32,
 }
 
 impl OrderTracker {
@@ -108,64 +217,76 @@ impl OrderTracker {
         Self::default()
     }
 
+    fn lookup(&self, n: OrderNode) -> Option<u32> {
+        let (kind, i) = n.map_key();
+        self.slot_of[kind].get(i).copied().filter(|&s| s != NO_SLOT)
+    }
+
+    fn map(&mut self, n: OrderNode, slot: u32) {
+        let (kind, i) = n.map_key();
+        let map = &mut self.slot_of[kind];
+        if i >= map.len() {
+            map.resize(i + 1, NO_SLOT);
+        }
+        map[i] = slot;
+    }
+
+    /// `n`'s slot, allocating one (reaching only itself) if it has none.
     fn slot(&mut self, n: OrderNode) -> u32 {
-        if let Some(&i) = self.index.get(&n) {
-            return i;
+        if let Some(s) = self.lookup(n) {
+            return s;
         }
-        let i = self.free_slots.pop().unwrap_or(self.reach.len() as u32);
-        if i as usize == self.reach.len() {
-            self.reach.push(BitRow::default());
-        }
-        self.reach[i as usize].clear();
-        self.reach[i as usize].set(i);
-        self.index.insert(n, i);
-        i
+        let s = match self.free_slots.pop() {
+            Some(s) => {
+                self.slots[s as usize].node = n;
+                s
+            }
+            None => {
+                self.slots.push(Slot {
+                    node: n,
+                    info: None,
+                    succ: Vec::new(),
+                    pred: Vec::new(),
+                });
+                self.closure.push_row();
+                self.closure.rows as u32 - 1
+            }
+        };
+        self.closure.reset_row(s);
+        self.map(n, s);
+        s
     }
 
     /// Registers a routine node (pending until committed or removed).
-    /// Re-registration is a no-op, matching `BTreeMap::entry` semantics.
+    /// Re-registration is a no-op.
     pub fn add_routine(&mut self, r: RoutineId, submitted: Timestamp) {
-        let node = OrderNode::Routine(r);
-        if let std::collections::btree_map::Entry::Vacant(e) = self.nodes.entry(node) {
-            e.insert(NodeInfo {
-                time: submitted,
-                device: None,
-                committed: false,
-            });
-            self.slot(node);
-        }
+        let s = self.slot(OrderNode::Routine(r));
+        self.slots[s as usize].info.get_or_insert(NodeInfo {
+            time: submitted,
+            device: None,
+            committed: false,
+        });
+    }
+
+    fn new_event(&mut self, node: OrderNode, device: DeviceId, at: Timestamp) -> OrderNode {
+        self.next_event_seq += 1;
+        let s = self.slot(node);
+        self.slots[s as usize].info = Some(NodeInfo {
+            time: at,
+            device: Some(device),
+            committed: true,
+        });
+        node
     }
 
     /// Registers a new failure event for `device`, returning its node.
     pub fn new_failure(&mut self, device: DeviceId, at: Timestamp) -> OrderNode {
-        let node = OrderNode::Failure(self.next_event_seq);
-        self.next_event_seq += 1;
-        self.nodes.insert(
-            node,
-            NodeInfo {
-                time: at,
-                device: Some(device),
-                committed: true,
-            },
-        );
-        self.slot(node);
-        node
+        self.new_event(OrderNode::Failure(self.next_event_seq), device, at)
     }
 
     /// Registers a new restart event for `device`, returning its node.
     pub fn new_restart(&mut self, device: DeviceId, at: Timestamp) -> OrderNode {
-        let node = OrderNode::Restart(self.next_event_seq);
-        self.next_event_seq += 1;
-        self.nodes.insert(
-            node,
-            NodeInfo {
-                time: at,
-                device: Some(device),
-                committed: true,
-            },
-        );
-        self.slot(node);
-        node
+        self.new_event(OrderNode::Restart(self.next_event_seq), device, at)
     }
 
     /// Adds the constraint `a` serializes before `b`. Self-edges are
@@ -178,21 +299,37 @@ impl OrderTracker {
             !self.reaches(b, a),
             "order edge {a:?} -> {b:?} would create a cycle"
         );
-        if self.edges.insert((a, b)) {
-            self.succ.entry(a).or_default().push(b);
-            let ia = self.slot(a);
-            let ib = self.slot(b);
-            if !self.reach[ia as usize].test(ib) {
-                // Everything that reaches `a` (including `a`) now also
-                // reaches everything `b` reaches.
-                let row_b = self.reach[ib as usize].clone();
-                for i in 0..self.reach.len() {
-                    if self.reach[i].test(ia) {
-                        self.reach[i].or_assign(&row_b);
-                    }
-                }
+        let ia = self.slot(a);
+        let ib = self.slot(b);
+        if self.closure.test(ia, ib) {
+            // `b` is already reachable, so the edge may exist: dedupe by
+            // scanning the shorter endpoint list. Reachability is
+            // unchanged either way.
+            let (out, inc) = (&self.slots[ia as usize].succ, &self.slots[ib as usize].pred);
+            let present = if out.len() <= inc.len() {
+                out.contains(&ib)
+            } else {
+                inc.contains(&ia)
+            };
+            if !present {
+                self.link(ia, ib);
+            }
+            return;
+        }
+        self.link(ia, ib);
+        // Everything that reaches `a` (including `a`) now also reaches
+        // everything `b` reaches. Row `b` lacks bit `a` (no cycles), so
+        // the ORs leave column `a` as it was.
+        for i in 0..self.closure.rows as u32 {
+            if self.closure.test(i, ia) {
+                self.closure.or_row(i, ib);
             }
         }
+    }
+
+    fn link(&mut self, a: u32, b: u32) {
+        self.slots[a as usize].succ.push(b);
+        self.slots[b as usize].pred.push(a);
     }
 
     /// Convenience: routine-before-routine edge.
@@ -206,8 +343,8 @@ impl OrderTracker {
         if from == to {
             return true;
         }
-        match (self.index.get(&from), self.index.get(&to)) {
-            (Some(&i), Some(&j)) => self.reach[i as usize].test(j),
+        match (self.lookup(from), self.lookup(to)) {
+            (Some(i), Some(j)) => self.closure.test(i, j),
             _ => false,
         }
     }
@@ -220,13 +357,13 @@ impl OrderTracker {
     /// closure bit probe.
     pub fn placement_conflicts(&self, pre: &[RoutineId], post: &[RoutineId]) -> bool {
         for &q in post {
-            let iq = self.index.get(&OrderNode::Routine(q));
+            let iq = self.lookup(OrderNode::Routine(q));
             for &p in pre {
                 if q == p {
                     return true;
                 }
-                if let (Some(&iq), Some(&ip)) = (iq, self.index.get(&OrderNode::Routine(p))) {
-                    if self.reach[iq as usize].test(ip) {
+                if let (Some(iq), Some(ip)) = (iq, self.lookup(OrderNode::Routine(p))) {
+                    if self.closure.test(iq, ip) {
                         return true;
                     }
                 }
@@ -237,54 +374,63 @@ impl OrderTracker {
 
     /// Marks a routine committed (it will appear in the witness order).
     pub fn mark_committed(&mut self, r: RoutineId, at: Timestamp) {
-        if let Some(info) = self.nodes.get_mut(&OrderNode::Routine(r)) {
+        let Some(s) = self.lookup(OrderNode::Routine(r)) else {
+            return;
+        };
+        if let Some(info) = &mut self.slots[s as usize].info {
             info.committed = true;
             info.time = at;
         }
     }
 
     /// Removes an aborted routine and every constraint that mentions it.
+    ///
+    /// Only rows that reached the routine can lose bits, so only they are
+    /// recomputed, each as its own bit ORed with its successors' rows. In
+    /// a DAG a node's row strictly contains every descendant's, so
+    /// recomputing in ascending order of old popcount rebuilds every
+    /// successor that is itself an ancestor before the rows that read it.
     pub fn remove_routine(&mut self, r: RoutineId) {
         let node = OrderNode::Routine(r);
-        self.nodes.remove(&node);
-        self.edges.retain(|&(a, b)| a != node && b != node);
-        self.succ.remove(&node);
-        for (_, next) in self.succ.iter_mut() {
-            next.retain(|&m| m != node);
+        let Some(x) = self.lookup(node) else {
+            return;
+        };
+        self.map(node, NO_SLOT);
+        let slot = &mut self.slots[x as usize];
+        slot.info = None;
+        let (succ, pred) = (
+            std::mem::take(&mut slot.succ),
+            std::mem::take(&mut slot.pred),
+        );
+        for s in succ {
+            self.slots[s as usize].pred.retain(|&p| p != x);
         }
-        if let Some(i) = self.index.remove(&node) {
-            self.reach[i as usize].clear();
-            self.free_slots.push(i);
-            self.rebuild_closure();
+        for p in pred {
+            self.slots[p as usize].succ.retain(|&q| q != x);
         }
-    }
 
-    /// Recomputes every closure row from the edge set (used after node
-    /// removal, which can only shrink reachability).
-    fn rebuild_closure(&mut self) {
-        for (&n, &i) in &self.index {
-            self.reach[i as usize].clear();
-            self.reach[i as usize].set(i);
-            let _ = n;
+        let mut ancestors = std::mem::take(&mut self.repair);
+        ancestors.clear();
+        for a in (0..self.closure.rows as u32).filter(|&a| a != x && self.closure.test(a, x)) {
+            let popcount = self.closure.row(a).iter().map(|w| w.count_ones()).sum();
+            ancestors.push((popcount, a));
         }
-        // Propagate to a fixpoint; the graph is a DAG and small, so the
-        // quadratic worst case is irrelevant next to abort frequency.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &(a, b) in &self.edges {
-                let (Some(&ia), Some(&ib)) = (self.index.get(&a), self.index.get(&b)) else {
-                    continue;
-                };
-                let row_b = self.reach[ib as usize].clone();
-                changed |= self.reach[ia as usize].or_assign(&row_b);
+        self.closure.row_mut(x).fill(0);
+        self.free_slots.push(x);
+        ancestors.sort_unstable();
+        for &(_, a) in &ancestors {
+            self.closure.reset_row(a);
+            for &s in &self.slots[a as usize].succ {
+                self.closure.or_row(a, s);
             }
         }
+        self.repair = ancestors;
     }
 
     /// Device associated with an event node.
     pub fn device_of(&self, n: OrderNode) -> Option<DeviceId> {
-        self.nodes.get(&n).and_then(|i| i.device)
+        let s = self.lookup(n)?;
+        self.slots[s as usize].info.and_then(|i| i.device)
     }
 
     /// Produces the witness total order: a deterministic topological sort
@@ -297,16 +443,13 @@ impl OrderTracker {
     /// Panics if the constraints contain a cycle — that would mean a
     /// serialization bug, and the property tests assert it never happens.
     pub fn witness_order(&self) -> Vec<OrderItem> {
-        let included: BTreeSet<OrderNode> = self
-            .nodes
-            .iter()
-            .filter(|(_, i)| i.committed)
-            .map(|(&n, _)| n)
-            .collect();
-        let mut indegree: BTreeMap<OrderNode, usize> = included.iter().map(|&n| (n, 0)).collect();
-        for &(a, b) in &self.edges {
-            if included.contains(&a) && included.contains(&b) {
-                *indegree.get_mut(&b).unwrap() += 1;
+        let included = |s: u32| self.slots[s as usize].info.is_some_and(|i| i.committed);
+        let mut indegree = vec![0u32; self.slots.len()];
+        let mut total = 0;
+        for a in (0..self.slots.len() as u32).filter(|&a| included(a)) {
+            total += 1;
+            for &b in self.slots[a as usize].succ.iter().filter(|&&b| included(b)) {
+                indegree[b as usize] += 1;
             }
         }
         // Deterministic Kahn. Unconstrained nodes commute (they share no
@@ -315,49 +458,41 @@ impl OrderTracker {
         // FIFO-serialized models instead of charging phantom swaps to
         // commuting pairs. Failure/restart events sort after ready
         // routines, as late as their constraints allow ("may be moved
-        // flexibly among unfinished routines", §4.2).
-        fn key(n: OrderNode) -> (u8, u64) {
-            match n {
-                OrderNode::Routine(r) => (0, r.raw()),
-                OrderNode::Failure(s) | OrderNode::Restart(s) => (1, s as u64),
-            }
-        }
-        let mut ready: BTreeSet<((u8, u64), OrderNode)> = indegree
-            .iter()
-            .filter(|(_, &deg)| deg == 0)
-            .map(|(&n, _)| (key(n), n))
+        // flexibly among unfinished routines", §4.2). Keys are unique
+        // among registered nodes, so the slot never breaks a tie.
+        let entry = |s: u32| Reverse((self.slots[s as usize].node.witness_key(), s));
+        let mut ready: BinaryHeap<_> = (0..self.slots.len() as u32)
+            .filter(|&s| included(s) && indegree[s as usize] == 0)
+            .map(entry)
             .collect();
-        let mut out = Vec::with_capacity(included.len());
-        while let Some(&(k, n)) = ready.iter().next() {
-            ready.remove(&(k, n));
-            out.push(self.to_item(n));
-            if let Some(next) = self.succ.get(&n) {
-                for &m in next {
-                    if let Some(deg) = indegree.get_mut(&m) {
-                        *deg -= 1;
-                        if *deg == 0 {
-                            ready.insert((key(m), m));
-                        }
-                    }
+        let mut out = Vec::with_capacity(total);
+        while let Some(Reverse((_, s))) = ready.pop() {
+            out.push(self.to_item(s));
+            for &m in self.slots[s as usize].succ.iter().filter(|&&m| included(m)) {
+                indegree[m as usize] -= 1;
+                if indegree[m as usize] == 0 {
+                    ready.push(entry(m));
                 }
             }
         }
         assert_eq!(
             out.len(),
-            included.len(),
+            total,
             "serialization constraints contain a cycle"
         );
         out
     }
 
-    fn to_item(&self, n: OrderNode) -> OrderItem {
-        match n {
+    fn to_item(&self, s: u32) -> OrderItem {
+        let slot = &self.slots[s as usize];
+        let device = || slot.info.and_then(|i| i.device);
+        match slot.node {
             OrderNode::Routine(r) => OrderItem::Routine(r),
             OrderNode::Failure(_) => {
-                OrderItem::Failure(self.device_of(n).expect("failure events carry a device"))
+                OrderItem::Failure(device().expect("failure events carry a device"))
             }
             OrderNode::Restart(_) => {
-                OrderItem::Restart(self.device_of(n).expect("restart events carry a device"))
+                OrderItem::Restart(device().expect("restart events carry a device"))
             }
         }
     }
@@ -484,13 +619,10 @@ mod tests {
         ord.mark_committed(r(1), t(2));
         ord.mark_committed(r(2), t(3));
         ord.order_routines(r(1), r(2));
-        // Bypass add_edge's debug assert by inserting the raw edge.
-        ord.edges
-            .insert((OrderNode::Routine(r(2)), OrderNode::Routine(r(1))));
-        ord.succ
-            .entry(OrderNode::Routine(r(2)))
-            .or_default()
-            .push(OrderNode::Routine(r(1)));
+        // Bypass add_edge's debug assert by linking the raw edge.
+        let slot = |n| ord.lookup(OrderNode::Routine(r(n))).unwrap();
+        let (a, b) = (slot(2), slot(1));
+        ord.link(a, b);
         ord.witness_order();
     }
 }
