@@ -33,10 +33,11 @@
 //!   containers, same convention as `fleet_bench`) plus wallclock when
 //!   enough cores exist; per-home digests must agree across both
 //!   schedules.
-//! - `eviction`: the same fleet under a `max_resident` budget —
-//!   evictions, recoveries, peak residency and approximate per-home
-//!   resident vs evicted bytes; results must be byte-identical to the
-//!   never-evicted run (`digest_neutral`).
+//! - `eviction`: a calm fleet under a `max_resident` budget —
+//!   evictions, recoveries (resumes of a parked controller), peak
+//!   residency and approximate per-home resident vs evicted bytes;
+//!   results must be byte-identical to the never-evicted run
+//!   (`digest_neutral`).
 //! - `intra_home`: a fleet led by one zoned-workshop home heavy enough
 //!   to floor the whole-home-stealing makespan, split by the lint
 //!   cluster planner into independent sub-drivers — modeled makespan
@@ -542,11 +543,12 @@ fn main() {
         (
             "description",
             Json::from(
-                "journal-backed eviction of cold resident homes: between slices a \
-                 quiescent home collapses to {journal, device states, RNG} and its \
-                 pooled simulator state returns to the thread pool; the next timer \
-                 fire rebuilds it by journal replay — results must be byte-identical \
-                 to a never-evicted run (digest_neutral)",
+                "eviction of cold resident homes: between slices a quiescent home \
+                 parks its controller (engine, counter sink, tables, compact journal) \
+                 beside a {device states, RNG} world snapshot and its pooled simulator \
+                 state returns to the thread pool; the next timer fire resumes the \
+                 parked controller on a rebuilt backend without replay — results must \
+                 be byte-identical to a never-evicted run (digest_neutral)",
             ),
         ),
         ("homes", Json::from(SKEW_HOMES as u64)),

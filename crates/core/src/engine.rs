@@ -153,8 +153,8 @@ impl Engine {
     /// [`Engine::check_invariants`] extended with the execution journal's
     /// replay invariants (dense monotone sequence, 3-phase side-effect
     /// ordering — see [`crate::journal::ExecutionJournal::check_invariants`]).
-    /// Recovery validates a journal through this before replaying it, so
-    /// corrupted or reordered logs are rejected up front.
+    /// A journaling runtime's invariant check (`HomeRuntime::check_invariants`
+    /// in the harness) goes through this.
     pub fn check_invariants_with_journal(
         &self,
         journal: &crate::journal::ExecutionJournal,

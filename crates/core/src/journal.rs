@@ -6,9 +6,12 @@
 //! chains and in-flight device writes all die with the process. The
 //! [`ExecutionJournal`] closes that gap. It is an **append-only** log of
 //! everything the runtime does, with monotone sequence numbers, and all
-//! recovered state is derived **purely by replay** — the journal is the
-//! only source of truth; there are no checkpoint snapshots to drift out
-//! of sync.
+//! state recovered after a crash is derived **purely by replay** — the
+//! journal is the crash-recovery source of truth; there are no
+//! checkpoint snapshots to drift out of sync. (The service runner's
+//! eviction parks a quiescent controller whole instead of replaying it,
+//! and a test pins that parked controller equal to what replaying its
+//! journal rebuilds.)
 //!
 //! # Event taxonomy
 //!
@@ -52,8 +55,19 @@
 //! journal record-by-record, so corruption is detected at the exact
 //! sequence number where history diverges (see [`JournalWriter::verify`]).
 //!
-//! Serialization uses [`safehome_types::json`] only — no external
-//! registry dependencies.
+//! # Storage
+//!
+//! A journal lives in memory as one append-only `Vec<u8>` of
+//! varint-encoded records: `seq` and `at` as deltas from the previous
+//! record, then a one-byte payload tag and the payload's fields. A
+//! typical record takes about a dozen bytes, against ~100 for a
+//! [`JournalEvent`] plus its heap payload, which is what lets every
+//! evicted home keep its whole history. Records are decoded into owned
+//! [`JournalEvent`]s on demand ([`ExecutionJournal::events`],
+//! [`ExecutionJournal::iter`]); verify-mode replay compares each
+//! re-derived record's encoding against the bytes at the cursor without
+//! decoding. The durable, human-readable form is JSON, through
+//! [`safehome_types::json`] only — no external registry dependencies.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -298,13 +312,30 @@ impl EventPayload {
 
 /// The append-only per-home execution journal.
 ///
-/// Records carry dense, monotone sequence numbers assigned by
+/// Records carry monotone sequence numbers assigned by
 /// [`ExecutionJournal::push`]; [`ExecutionJournal::check_invariants`]
 /// validates the structural replay invariants, and the JSON form
 /// ([`ExecutionJournal::to_json`]) round-trips losslessly.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Storage is one append-only byte vector of varint-encoded records (see
+/// the module docs): [`ExecutionJournal::events`] and
+/// [`ExecutionJournal::iter`] decode owned [`JournalEvent`]s on demand.
+/// Equal record sequences have equal bytes, so `==` compares histories.
+#[derive(Clone, Default, PartialEq)]
 pub struct ExecutionJournal {
-    events: Vec<JournalEvent>,
+    /// The encoded records, back to back.
+    bytes: Vec<u8>,
+    /// Number of records.
+    len: usize,
+    /// Delta bases for the next appended record: the newest record's
+    /// `seq + 1` and `at`.
+    end: Cursor,
+}
+
+impl std::fmt::Debug for ExecutionJournal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl ExecutionJournal {
@@ -315,52 +346,72 @@ impl ExecutionJournal {
 
     /// Appends a record, assigning the next sequence number.
     pub fn push(&mut self, at: Timestamp, payload: EventPayload) -> u64 {
-        let seq = self.events.len() as u64;
-        self.events.push(JournalEvent { seq, at, payload });
+        let seq = self.len as u64;
+        self.end = encode(&mut self.bytes, self.end, seq, at, &payload);
+        self.len += 1;
         seq
     }
 
-    /// The records, in sequence order.
-    pub fn events(&self) -> &[JournalEvent] {
-        &self.events
+    /// Appends a record verbatim (see the `FromIterator` impl).
+    fn append(&mut self, event: &JournalEvent) {
+        self.end = encode(
+            &mut self.bytes,
+            self.end,
+            event.seq,
+            event.at,
+            &event.payload,
+        );
+        self.len += 1;
+    }
+
+    /// The records, decoded, in sequence order.
+    pub fn events(&self) -> Vec<JournalEvent> {
+        self.iter().collect()
+    }
+
+    /// Decodes the records one at a time, in sequence order.
+    pub fn iter(&self) -> Records<'_> {
+        Records {
+            bytes: &self.bytes,
+            cursor: Cursor::default(),
+        }
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.len
     }
 
     /// `true` when the journal has no records.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len == 0
     }
 
     /// The time of the newest record (`Timestamp::ZERO` when empty).
     pub fn tip_time(&self) -> Timestamp {
-        self.events.last().map_or(Timestamp::ZERO, |e| e.at)
+        self.end.at
     }
 
-    /// Approximate heap footprint of the journal in bytes: the record
-    /// vector's capacity times the record size. A lower bound — payload
-    /// heap data (routine command vectors, genesis state maps) is not
-    /// chased — but good enough to compare a parked home's durable
-    /// footprint against its resident (queue + device) footprint, which
-    /// is what the service runner's eviction accounting needs.
+    /// Heap footprint of the journal in bytes: the struct plus the
+    /// encoded record buffer's capacity. Exact — records hold no
+    /// out-of-line data.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.events.capacity() * std::mem::size_of::<JournalEvent>()
+        std::mem::size_of::<Self>() + self.bytes.capacity()
     }
 
     /// Drops every record past `len` — simulates a torn tail (a crash
     /// mid-append). Recovery repairs truncated tails by re-deriving them.
     pub fn truncate(&mut self, len: usize) {
-        self.events.truncate(len);
-    }
-
-    /// Mutable access to the records, for tooling and corruption tests.
-    /// A tampered journal is rejected by [`Self::check_invariants`] or by
-    /// verify-mode replay at the exact diverging record.
-    pub fn events_mut(&mut self) -> &mut [JournalEvent] {
-        &mut self.events
+        if len >= self.len {
+            return;
+        }
+        let mut records = self.iter();
+        for _ in 0..len {
+            records.next();
+        }
+        self.end = records.cursor;
+        self.bytes.truncate(self.end.pos);
+        self.len = len;
     }
 
     /// Validates the structural replay invariants:
@@ -372,160 +423,32 @@ impl ExecutionJournal {
     ///   submitted or finished twice;
     /// - the 3-phase side-effect order holds per `(routine, idx,
     ///   rollback)` key: no `Started` without `Scheduled`, no `Completed`
-    ///   without `Started`, no double `Scheduled`/`Completed`.
+    ///   without `Started`, no double `Scheduled`/`Completed`;
+    /// - writes and detector edges name devices the genesis record
+    ///   lists, and a write's `Started`, `Retrying` and `Completed`
+    ///   records name the device its `Scheduled` record named (replay
+    ///   feeds these devices to the engine, which must never see a
+    ///   device the home lacks or a write was not scheduled on).
     pub fn check_invariants(&self) -> Result<(), String> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Phase {
-            Scheduled,
-            Started,
-            Retrying,
-            Completed,
-        }
+        let mut state = InvariantState::default();
         let mut last_at = Timestamp::ZERO;
-        let mut submitted: BTreeSet<RoutineId> = BTreeSet::new();
-        let mut finished: BTreeSet<RoutineId> = BTreeSet::new();
-        let mut phases: BTreeMap<(RoutineId, CmdIdx, bool), Phase> = BTreeMap::new();
-        let fail = |seq: usize, msg: String| Err(format!("journal seq {seq}: {msg}"));
-        for (i, ev) in self.events.iter().enumerate() {
-            if ev.seq != i as u64 {
-                return fail(
-                    i,
-                    format!("non-monotone sequence (record carries {})", ev.seq),
-                );
-            }
-            if ev.at < last_at {
-                return fail(i, format!("time went backwards ({} < {last_at})", ev.at));
-            }
+        for (i, ev) in self.iter().enumerate() {
+            let checked = if ev.seq != i as u64 {
+                Err(format!("non-monotone sequence (record carries {})", ev.seq))
+            } else if ev.at < last_at {
+                Err(format!("time went backwards ({} < {last_at})", ev.at))
+            } else {
+                state.check(i == 0, &ev.payload)
+            };
+            checked.map_err(|msg| format!("journal seq {i}: {msg}"))?;
             last_at = ev.at;
-            let genesis = matches!(ev.payload, EventPayload::Genesis { .. });
-            if (i == 0) != genesis {
-                return fail(
-                    i,
-                    if genesis {
-                        "second genesis record".into()
-                    } else {
-                        "journal must begin with a genesis record".into()
-                    },
-                );
-            }
-            let known = |r: &RoutineId| submitted.contains(r);
-            match &ev.payload {
-                EventPayload::Genesis { .. } => {}
-                EventPayload::RoutineSubmitted { id, .. } => {
-                    if !submitted.insert(*id) {
-                        return fail(i, format!("{id} submitted twice"));
-                    }
-                }
-                EventPayload::RoutineStarted { routine } => {
-                    if !known(routine) {
-                        return fail(i, format!("{routine} started before submission"));
-                    }
-                }
-                EventPayload::RoutineCommitted { routine }
-                | EventPayload::RoutineAborted { routine, .. } => {
-                    if !known(routine) {
-                        return fail(i, format!("{routine} finished before submission"));
-                    }
-                    if !finished.insert(*routine) {
-                        return fail(i, format!("{routine} finished twice"));
-                    }
-                }
-                EventPayload::WriteScheduled {
-                    routine,
-                    idx,
-                    rollback,
-                    ..
-                } => {
-                    if !known(routine) {
-                        return fail(i, format!("write by unsubmitted {routine}"));
-                    }
-                    let key = (*routine, *idx, *rollback);
-                    if phases.insert(key, Phase::Scheduled).is_some() {
-                        return fail(i, format!("write {routine}/{idx} scheduled twice"));
-                    }
-                }
-                EventPayload::WriteStarted {
-                    routine,
-                    idx,
-                    rollback,
-                    ..
-                } => {
-                    let key = (*routine, *idx, *rollback);
-                    match phases.get(&key) {
-                        Some(Phase::Scheduled) => {
-                            phases.insert(key, Phase::Started);
-                        }
-                        _ => {
-                            return fail(
-                                i,
-                                format!("write {routine}/{idx} started without being scheduled"),
-                            )
-                        }
-                    }
-                }
-                EventPayload::WriteRetrying {
-                    routine,
-                    idx,
-                    rollback,
-                    ..
-                } => {
-                    let key = (*routine, *idx, *rollback);
-                    match phases.get(&key) {
-                        Some(Phase::Scheduled | Phase::Started | Phase::Retrying) => {
-                            phases.insert(key, Phase::Retrying);
-                        }
-                        _ => {
-                            return fail(
-                                i,
-                                format!("write {routine}/{idx} retried without being in flight"),
-                            )
-                        }
-                    }
-                }
-                EventPayload::WriteCompleted {
-                    routine,
-                    idx,
-                    rollback,
-                    ..
-                } => {
-                    let key = (*routine, *idx, *rollback);
-                    match phases.get(&key) {
-                        Some(Phase::Started | Phase::Retrying) => {
-                            phases.insert(key, Phase::Completed);
-                        }
-                        _ => {
-                            return fail(
-                                i,
-                                format!("write {routine}/{idx} completed without being started"),
-                            )
-                        }
-                    }
-                }
-                EventPayload::WriteSkipped { routine, .. } => {
-                    if !known(routine) {
-                        return fail(i, format!("skip by unsubmitted {routine}"));
-                    }
-                }
-                EventPayload::DeferralReleased { pred, .. } => {
-                    if !known(pred) {
-                        return fail(i, format!("deferral released by unsubmitted {pred}"));
-                    }
-                }
-                EventPayload::DeviceDown { .. }
-                | EventPayload::DeviceUp { .. }
-                | EventPayload::TimerArmed { .. }
-                | EventPayload::TimerFired { .. }
-                | EventPayload::DeferralArmed { .. }
-                | EventPayload::Feedback { .. }
-                | EventPayload::RecoveryNote { .. } => {}
-            }
         }
         Ok(())
     }
 
     /// The journal as a JSON array (one object per record).
     pub fn to_json(&self) -> Json {
-        Json::Arr(self.events.iter().map(JournalEvent::to_json).collect())
+        Json::Arr(self.iter().map(|e| e.to_json()).collect())
     }
 
     /// Pretty JSON text (one durable-log flush unit per record).
@@ -535,12 +458,11 @@ impl ExecutionJournal {
 
     /// Decodes a journal from its JSON form.
     pub fn from_json(json: &Json) -> Result<Self, String> {
-        let arr = json.as_array().ok_or("journal JSON must be an array")?;
-        let events = arr
+        json.as_array()
+            .ok_or("journal JSON must be an array")?
             .iter()
             .map(JournalEvent::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ExecutionJournal { events })
+            .collect()
     }
 
     /// Parses a journal from JSON text.
@@ -548,6 +470,768 @@ impl ExecutionJournal {
         let json = Json::parse(text).map_err(|e| format!("journal JSON: {e}"))?;
         Self::from_json(&json)
     }
+}
+
+/// A write's progress through the 3-phase side-effect pattern.
+#[derive(Clone, Copy, PartialEq)]
+enum Phase {
+    Scheduled,
+    Started,
+    Retrying,
+    Completed,
+}
+
+/// What [`ExecutionJournal::check_invariants`] has seen so far.
+#[derive(Default)]
+struct InvariantState {
+    /// The home's devices, from the genesis record.
+    devices: BTreeSet<DeviceId>,
+    submitted: BTreeSet<RoutineId>,
+    finished: BTreeSet<RoutineId>,
+    /// Per write key: its phase and the device it was scheduled on.
+    phases: BTreeMap<(RoutineId, CmdIdx, bool), (Phase, DeviceId)>,
+}
+
+impl InvariantState {
+    /// Checks one record's payload; `first` marks record 0.
+    fn check(&mut self, first: bool, payload: &EventPayload) -> Result<(), String> {
+        if first != matches!(payload, EventPayload::Genesis { .. }) {
+            return Err(if first {
+                "journal must begin with a genesis record".into()
+            } else {
+                "second genesis record".into()
+            });
+        }
+        match payload {
+            EventPayload::Genesis { initial, .. } => {
+                self.devices = initial.keys().copied().collect();
+            }
+            EventPayload::RoutineSubmitted { id, .. } => {
+                if !self.submitted.insert(*id) {
+                    return Err(format!("{id} submitted twice"));
+                }
+            }
+            EventPayload::RoutineStarted { routine } => self.known(*routine, "started before")?,
+            EventPayload::RoutineCommitted { routine }
+            | EventPayload::RoutineAborted { routine, .. } => {
+                self.known(*routine, "finished before")?;
+                if !self.finished.insert(*routine) {
+                    return Err(format!("{routine} finished twice"));
+                }
+            }
+            EventPayload::WriteScheduled {
+                routine,
+                idx,
+                device,
+                rollback,
+                ..
+            } => {
+                self.known(*routine, "wrote before")?;
+                self.device(*device)?;
+                let key = (*routine, *idx, *rollback);
+                if self
+                    .phases
+                    .insert(key, (Phase::Scheduled, *device))
+                    .is_some()
+                {
+                    return Err(format!("write {routine}/{idx} scheduled twice"));
+                }
+            }
+            EventPayload::WriteStarted {
+                routine,
+                idx,
+                device,
+                rollback,
+            } => self.advance(
+                (*routine, *idx, *rollback),
+                *device,
+                &[Phase::Scheduled],
+                Phase::Started,
+                "started without being scheduled",
+            )?,
+            EventPayload::WriteRetrying {
+                routine,
+                idx,
+                device,
+                rollback,
+                ..
+            } => self.advance(
+                (*routine, *idx, *rollback),
+                *device,
+                &[Phase::Scheduled, Phase::Started, Phase::Retrying],
+                Phase::Retrying,
+                "retried without being in flight",
+            )?,
+            EventPayload::WriteCompleted {
+                routine,
+                idx,
+                device,
+                rollback,
+                ..
+            } => self.advance(
+                (*routine, *idx, *rollback),
+                *device,
+                &[Phase::Started, Phase::Retrying],
+                Phase::Completed,
+                "completed without being started",
+            )?,
+            EventPayload::WriteSkipped { routine, .. } => {
+                self.known(*routine, "skipped a write before")?
+            }
+            EventPayload::DeferralReleased { pred, .. } => {
+                self.known(*pred, "released a deferral before")?
+            }
+            EventPayload::DeviceDown { device } | EventPayload::DeviceUp { device } => {
+                self.device(*device)?
+            }
+            EventPayload::TimerArmed { .. }
+            | EventPayload::TimerFired { .. }
+            | EventPayload::DeferralArmed { .. }
+            | EventPayload::Feedback { .. }
+            | EventPayload::RecoveryNote { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// `routine` must have been submitted; `what` completes
+    /// "{routine} {what} submission".
+    fn known(&self, routine: RoutineId, what: &str) -> Result<(), String> {
+        if self.submitted.contains(&routine) {
+            Ok(())
+        } else {
+            Err(format!("{routine} {what} submission"))
+        }
+    }
+
+    /// `device` must be one the genesis record lists.
+    fn device(&self, device: DeviceId) -> Result<(), String> {
+        if self.devices.contains(&device) {
+            Ok(())
+        } else {
+            Err(format!("unknown device {device}"))
+        }
+    }
+
+    /// Moves the write keyed `(routine, idx, rollback)` to phase `to`
+    /// when it is in one of the phases `from` and was scheduled on
+    /// `device`; `what` describes the violation otherwise.
+    fn advance(
+        &mut self,
+        (routine, idx, rollback): (RoutineId, CmdIdx, bool),
+        device: DeviceId,
+        from: &[Phase],
+        to: Phase,
+        what: &str,
+    ) -> Result<(), String> {
+        match self.phases.get_mut(&(routine, idx, rollback)) {
+            Some((phase, scheduled_on)) if from.contains(phase) => {
+                if *scheduled_on != device {
+                    return Err(format!(
+                        "write {routine}/{idx} names {device} but was scheduled on {scheduled_on}"
+                    ));
+                }
+                *phase = to;
+                Ok(())
+            }
+            _ => Err(format!("write {routine}/{idx} {what}")),
+        }
+    }
+}
+
+/// Collects records verbatim, keeping each one's sequence number even
+/// when that breaks density — the path of the JSON decoder and of
+/// corruption tooling. [`ExecutionJournal::check_invariants`] rejects a
+/// journal whose sequence is not dense.
+impl FromIterator<JournalEvent> for ExecutionJournal {
+    fn from_iter<I: IntoIterator<Item = JournalEvent>>(records: I) -> Self {
+        let mut journal = ExecutionJournal::new();
+        for event in records {
+            journal.append(&event);
+        }
+        journal
+    }
+}
+
+/// A decoding iterator over a journal's records
+/// ([`ExecutionJournal::iter`]).
+pub struct Records<'a> {
+    bytes: &'a [u8],
+    cursor: Cursor,
+}
+
+impl Iterator for Records<'_> {
+    type Item = JournalEvent;
+
+    fn next(&mut self) -> Option<JournalEvent> {
+        if self.cursor.pos == self.bytes.len() {
+            return None;
+        }
+        let (event, next) = decode(self.bytes, self.cursor);
+        self.cursor = next;
+        Some(event)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Byte codec
+// ---------------------------------------------------------------------
+//
+// A record is `seq − (previous seq + 1)` and `at − previous at`, both
+// zigzag varints, then a one-byte payload tag and the payload fields:
+// unsigned integers and ids as LEB128 varints, signed ones zigzagged,
+// strings as a length varint plus UTF-8 bytes, options and enums as one
+// tag byte. Deltas use wrapping arithmetic, so tampered records (a
+// sequence gap, time running backwards) encode losslessly too. The code
+// is prefix-free: decoding consumes exactly one record's bytes.
+
+/// A position in the encoded records plus the delta bases there: the
+/// previous record's `seq + 1` and `at`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Cursor {
+    pos: usize,
+    next_seq: u64,
+    at: Timestamp,
+}
+
+fn zigzag(v: u64) -> u64 {
+    let v = v as i64;
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> u64 {
+    ((v >> 1) as i64 ^ -((v & 1) as i64)) as u64
+}
+
+fn put_u(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+fn put_value(buf: &mut Vec<u8>, v: Option<Value>) {
+    match v {
+        None => buf.push(0),
+        Some(Value::Bool(b)) => buf.push(1 + b as u8),
+        Some(Value::Int(i)) => {
+            buf.push(3);
+            put_u(buf, zigzag(i as u64));
+        }
+    }
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u(buf, s.len() as u64);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+fn put_action(buf: &mut Vec<u8>, a: Action) {
+    match a {
+        Action::Set(v) => {
+            buf.push(0);
+            put_value(buf, Some(v));
+        }
+        Action::Read { expect } => {
+            buf.push(1);
+            put_value(buf, expect);
+        }
+    }
+}
+
+fn put_opt_routine(buf: &mut Vec<u8>, r: Option<RoutineId>) {
+    match r {
+        None => buf.push(0),
+        Some(id) => {
+            buf.push(1);
+            put_u(buf, id.0);
+        }
+    }
+}
+
+fn put_timer(buf: &mut Vec<u8>, t: TimerId) {
+    match t {
+        TimerId::LeaseRevocation { routine, device } => {
+            buf.push(0);
+            put_u(buf, routine.0);
+            put_u(buf, device.0.into());
+        }
+        TimerId::Ttl { routine } => {
+            buf.push(1);
+            put_u(buf, routine.0);
+        }
+        TimerId::Pace { routine } => {
+            buf.push(2);
+            put_u(buf, routine.0);
+        }
+        TimerId::Kick => buf.push(3),
+    }
+}
+
+/// Appends one record to `buf` after the record `prev` ends, returning
+/// the cursor past it.
+fn encode(buf: &mut Vec<u8>, prev: Cursor, seq: u64, at: Timestamp, p: &EventPayload) -> Cursor {
+    put_u(buf, zigzag(seq.wrapping_sub(prev.next_seq)));
+    put_u(buf, zigzag(at.0.wrapping_sub(prev.at.0)));
+    let write_key = |buf: &mut Vec<u8>, routine: RoutineId, idx: CmdIdx, device: DeviceId| {
+        put_u(buf, routine.0);
+        put_u(buf, idx.0.into());
+        put_u(buf, device.0.into());
+    };
+    match p {
+        EventPayload::Genesis {
+            initial,
+            workload,
+            horizon,
+        } => {
+            buf.push(0);
+            put_u(buf, initial.len() as u64);
+            for (d, v) in initial {
+                put_u(buf, d.0.into());
+                put_value(buf, Some(*v));
+            }
+            put_u(buf, *workload);
+            put_u(buf, horizon.0);
+        }
+        EventPayload::RoutineSubmitted { id, sub, routine } => {
+            buf.push(1);
+            put_u(buf, id.0);
+            match sub {
+                None => buf.push(0),
+                Some(s) => {
+                    buf.push(1);
+                    put_u(buf, *s);
+                }
+            }
+            put_str(buf, &routine.name);
+            put_u(buf, routine.commands.len() as u64);
+            for c in &routine.commands {
+                put_u(buf, c.device.0.into());
+                put_action(buf, c.action);
+                put_u(buf, c.duration.0);
+                buf.push(match c.priority {
+                    Priority::Must => 0,
+                    Priority::BestEffort => 1,
+                });
+                match c.undo {
+                    UndoPolicy::RestorePrevious => buf.push(0),
+                    UndoPolicy::Irreversible => buf.push(1),
+                    UndoPolicy::Handler(v) => {
+                        buf.push(2);
+                        put_value(buf, Some(v));
+                    }
+                }
+            }
+        }
+        EventPayload::RoutineStarted { routine } => {
+            buf.push(2);
+            put_u(buf, routine.0);
+        }
+        EventPayload::RoutineCommitted { routine } => {
+            buf.push(3);
+            put_u(buf, routine.0);
+        }
+        EventPayload::RoutineAborted {
+            routine,
+            reason,
+            executed,
+            rolled_back,
+        } => {
+            buf.push(4);
+            put_u(buf, routine.0);
+            let (tag, device) = match *reason {
+                AbortReason::MustCommandFailed { device } => (0, device),
+                AbortReason::FailureSerialization { device } => (1, device),
+                AbortReason::LeaseRevoked { device } => (2, device),
+                AbortReason::GuardFailed { device } => (3, device),
+            };
+            buf.push(tag);
+            put_u(buf, device.0.into());
+            put_u(buf, (*executed).into());
+            put_u(buf, (*rolled_back).into());
+        }
+        EventPayload::WriteScheduled {
+            routine,
+            idx,
+            device,
+            action,
+            duration,
+            rollback,
+        } => {
+            buf.push(5);
+            write_key(buf, *routine, *idx, *device);
+            put_action(buf, *action);
+            put_u(buf, duration.0);
+            buf.push(*rollback as u8);
+        }
+        EventPayload::WriteStarted {
+            routine,
+            idx,
+            device,
+            rollback,
+        } => {
+            buf.push(6);
+            write_key(buf, *routine, *idx, *device);
+            buf.push(*rollback as u8);
+        }
+        EventPayload::WriteCompleted {
+            routine,
+            idx,
+            device,
+            action,
+            duration,
+            rollback,
+            success,
+            observed,
+            new_state,
+            edge,
+        } => {
+            buf.push(7);
+            write_key(buf, *routine, *idx, *device);
+            put_action(buf, *action);
+            put_u(buf, duration.0);
+            let edge = match edge {
+                None => 0,
+                Some(false) => 1,
+                Some(true) => 2,
+            };
+            buf.push(*rollback as u8 | (*success as u8) << 1 | edge << 2);
+            put_value(buf, *observed);
+            put_value(buf, *new_state);
+        }
+        EventPayload::WriteRetrying {
+            routine,
+            idx,
+            device,
+            rollback,
+            attempt,
+        } => {
+            buf.push(8);
+            write_key(buf, *routine, *idx, *device);
+            buf.push(*rollback as u8);
+            put_u(buf, (*attempt).into());
+        }
+        EventPayload::WriteSkipped {
+            routine,
+            idx,
+            device,
+        } => {
+            buf.push(9);
+            write_key(buf, *routine, *idx, *device);
+        }
+        EventPayload::DeviceDown { device } => {
+            buf.push(10);
+            put_u(buf, device.0.into());
+        }
+        EventPayload::DeviceUp { device } => {
+            buf.push(11);
+            put_u(buf, device.0.into());
+        }
+        EventPayload::TimerArmed { timer, fire_at } => {
+            buf.push(12);
+            put_timer(buf, *timer);
+            put_u(buf, zigzag(fire_at.0.wrapping_sub(at.0)));
+        }
+        EventPayload::TimerFired { timer } => {
+            buf.push(13);
+            put_timer(buf, *timer);
+        }
+        EventPayload::DeferralArmed { pred, dep, delay } => {
+            buf.push(14);
+            put_u(buf, *pred);
+            put_u(buf, *dep);
+            put_u(buf, delay.0);
+        }
+        EventPayload::DeferralReleased {
+            pred,
+            dep,
+            at: release_at,
+        } => {
+            buf.push(15);
+            put_u(buf, pred.0);
+            put_u(buf, *dep);
+            put_u(buf, zigzag(release_at.0.wrapping_sub(at.0)));
+        }
+        EventPayload::Feedback { routine, message } => {
+            buf.push(16);
+            put_opt_routine(buf, *routine);
+            put_str(buf, message);
+        }
+        EventPayload::RecoveryNote { routine, message } => {
+            buf.push(17);
+            put_opt_routine(buf, *routine);
+            put_str(buf, message);
+        }
+    }
+    Cursor {
+        pos: buf.len(),
+        next_seq: seq.wrapping_add(1),
+        at,
+    }
+}
+
+/// Reads fields back in [`encode`]'s order. The bytes only ever come
+/// from [`encode`], so running off the end or meeting an unknown tag is
+/// a bug in this module, not bad input, and panics.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Reader<'_> {
+    fn byte(&mut self) -> u8 {
+        let b = self.bytes[self.pos];
+        self.pos += 1;
+        b
+    }
+
+    fn u(&mut self) -> u64 {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    fn flag(&mut self) -> bool {
+        self.byte() != 0
+    }
+
+    fn device(&mut self) -> DeviceId {
+        DeviceId(self.u() as u32)
+    }
+
+    fn routine(&mut self) -> RoutineId {
+        RoutineId(self.u())
+    }
+
+    fn value(&mut self) -> Option<Value> {
+        match self.byte() {
+            0 => None,
+            1 => Some(Value::Bool(false)),
+            2 => Some(Value::Bool(true)),
+            3 => Some(Value::Int(unzigzag(self.u()) as i64)),
+            t => unreachable!("journal value tag {t}"),
+        }
+    }
+
+    fn some_value(&mut self) -> Value {
+        self.value().expect("journal value present")
+    }
+
+    fn string(&mut self) -> String {
+        let n = self.u() as usize;
+        let s = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        String::from_utf8(s.to_vec()).expect("journal strings are UTF-8")
+    }
+
+    fn action(&mut self) -> Action {
+        match self.byte() {
+            0 => Action::Set(self.some_value()),
+            _ => Action::Read {
+                expect: self.value(),
+            },
+        }
+    }
+
+    fn opt_routine(&mut self) -> Option<RoutineId> {
+        self.flag().then(|| self.routine())
+    }
+
+    fn timer(&mut self) -> TimerId {
+        match self.byte() {
+            0 => TimerId::LeaseRevocation {
+                routine: self.routine(),
+                device: self.device(),
+            },
+            1 => TimerId::Ttl {
+                routine: self.routine(),
+            },
+            2 => TimerId::Pace {
+                routine: self.routine(),
+            },
+            _ => TimerId::Kick,
+        }
+    }
+
+    /// A `(routine, idx, device)` write key.
+    fn key(&mut self) -> (RoutineId, CmdIdx, DeviceId) {
+        (self.routine(), CmdIdx(self.u() as u16), self.device())
+    }
+
+    /// A time stored relative to the record's own `at`.
+    fn relative(&mut self, at: Timestamp) -> Timestamp {
+        Timestamp(at.0.wrapping_add(unzigzag(self.u())))
+    }
+}
+
+/// Decodes the record at `prev`, returning it and the cursor past it.
+fn decode(bytes: &[u8], prev: Cursor) -> (JournalEvent, Cursor) {
+    let mut r = Reader {
+        bytes,
+        pos: prev.pos,
+    };
+    let seq = prev.next_seq.wrapping_add(unzigzag(r.u()));
+    let at = Timestamp(prev.at.0.wrapping_add(unzigzag(r.u())));
+    let payload = match r.byte() {
+        0 => {
+            let n = r.u();
+            let initial = (0..n).map(|_| (r.device(), r.some_value())).collect();
+            EventPayload::Genesis {
+                initial,
+                workload: r.u(),
+                horizon: Timestamp(r.u()),
+            }
+        }
+        1 => {
+            let id = r.routine();
+            let sub = r.flag().then(|| r.u());
+            let name = r.string();
+            let n = r.u();
+            let commands = (0..n)
+                .map(|_| Command {
+                    device: r.device(),
+                    action: r.action(),
+                    duration: TimeDelta(r.u()),
+                    priority: if r.flag() {
+                        Priority::BestEffort
+                    } else {
+                        Priority::Must
+                    },
+                    undo: match r.byte() {
+                        0 => UndoPolicy::RestorePrevious,
+                        1 => UndoPolicy::Irreversible,
+                        _ => UndoPolicy::Handler(r.some_value()),
+                    },
+                })
+                .collect();
+            EventPayload::RoutineSubmitted {
+                id,
+                sub,
+                routine: Routine { name, commands },
+            }
+        }
+        2 => EventPayload::RoutineStarted {
+            routine: r.routine(),
+        },
+        3 => EventPayload::RoutineCommitted {
+            routine: r.routine(),
+        },
+        4 => {
+            let routine = r.routine();
+            let tag = r.byte();
+            let device = r.device();
+            EventPayload::RoutineAborted {
+                routine,
+                reason: match tag {
+                    0 => AbortReason::MustCommandFailed { device },
+                    1 => AbortReason::FailureSerialization { device },
+                    2 => AbortReason::LeaseRevoked { device },
+                    _ => AbortReason::GuardFailed { device },
+                },
+                executed: r.u() as u32,
+                rolled_back: r.u() as u32,
+            }
+        }
+        5 => {
+            let (routine, idx, device) = r.key();
+            EventPayload::WriteScheduled {
+                routine,
+                idx,
+                device,
+                action: r.action(),
+                duration: TimeDelta(r.u()),
+                rollback: r.flag(),
+            }
+        }
+        6 => {
+            let (routine, idx, device) = r.key();
+            EventPayload::WriteStarted {
+                routine,
+                idx,
+                device,
+                rollback: r.flag(),
+            }
+        }
+        7 => {
+            let (routine, idx, device) = r.key();
+            let action = r.action();
+            let duration = TimeDelta(r.u());
+            let flags = r.byte();
+            EventPayload::WriteCompleted {
+                routine,
+                idx,
+                device,
+                action,
+                duration,
+                rollback: flags & 1 != 0,
+                success: flags & 2 != 0,
+                edge: match flags >> 2 {
+                    0 => None,
+                    1 => Some(false),
+                    _ => Some(true),
+                },
+                observed: r.value(),
+                new_state: r.value(),
+            }
+        }
+        8 => {
+            let (routine, idx, device) = r.key();
+            EventPayload::WriteRetrying {
+                routine,
+                idx,
+                device,
+                rollback: r.flag(),
+                attempt: r.u() as u32,
+            }
+        }
+        9 => {
+            let (routine, idx, device) = r.key();
+            EventPayload::WriteSkipped {
+                routine,
+                idx,
+                device,
+            }
+        }
+        10 => EventPayload::DeviceDown { device: r.device() },
+        11 => EventPayload::DeviceUp { device: r.device() },
+        12 => EventPayload::TimerArmed {
+            timer: r.timer(),
+            fire_at: r.relative(at),
+        },
+        13 => EventPayload::TimerFired { timer: r.timer() },
+        14 => EventPayload::DeferralArmed {
+            pred: r.u(),
+            dep: r.u(),
+            delay: TimeDelta(r.u()),
+        },
+        15 => EventPayload::DeferralReleased {
+            pred: r.routine(),
+            dep: r.u(),
+            at: r.relative(at),
+        },
+        16 => EventPayload::Feedback {
+            routine: r.opt_routine(),
+            message: r.string(),
+        },
+        17 => EventPayload::RecoveryNote {
+            routine: r.opt_routine(),
+            message: r.string(),
+        },
+        t => unreachable!("journal payload tag {t}"),
+    };
+    let next = Cursor {
+        pos: r.pos,
+        next_seq: seq.wrapping_add(1),
+        at,
+    };
+    (JournalEvent { seq, at, payload }, next)
 }
 
 // ---------------------------------------------------------------------
@@ -1088,16 +1772,21 @@ enum WriterMode {
 /// On the live path ([`JournalWriter::record`]) every emitted event is
 /// appended. On the recovery path ([`JournalWriter::verify`]) the runtime
 /// re-executes history from journaled inputs, and each event it emits is
-/// **compared** against the journal record at the cursor: a mismatch
-/// poisons the writer with the exact diverging sequence number (the
-/// journal or the code lied about history — recovery must not continue),
-/// while events emitted past the journal's end are appended, repairing a
-/// tail torn by the crash mid-append.
+/// **compared** against the journal record at the cursor — its encoding
+/// against the bytes there: a mismatch poisons the writer with the exact
+/// diverging sequence number (the journal or the code lied about history
+/// — recovery must not continue), while events emitted past the
+/// journal's end are appended, repairing a tail torn by the crash
+/// mid-append.
 #[derive(Debug)]
 pub struct JournalWriter {
     journal: ExecutionJournal,
     mode: WriterMode,
-    cursor: usize,
+    /// Verify mode: the next unconsumed record and its index.
+    cursor: Cursor,
+    consumed: usize,
+    /// Verify mode: the emitted record's encoding, reused per emit.
+    scratch: Vec<u8>,
     repaired_tail: bool,
     poison: Option<String>,
 }
@@ -1106,9 +1795,11 @@ impl JournalWriter {
     /// A live-path writer appending to `journal`.
     pub fn record(journal: ExecutionJournal) -> Self {
         JournalWriter {
-            cursor: journal.len(),
+            cursor: journal.end,
+            consumed: journal.len(),
             journal,
             mode: WriterMode::Record,
+            scratch: Vec::new(),
             repaired_tail: false,
             poison: None,
         }
@@ -1119,10 +1810,17 @@ impl JournalWriter {
         JournalWriter {
             journal,
             mode: WriterMode::Verify,
-            cursor: 0,
+            cursor: Cursor::default(),
+            consumed: 0,
+            scratch: Vec::new(),
             repaired_tail: false,
             poison: None,
         }
+    }
+
+    /// `true` while verify mode has records left to compare against.
+    fn verifying(&self) -> bool {
+        self.mode == WriterMode::Verify && self.consumed < self.journal.len()
     }
 
     /// Emits one event: appends (record mode / past the end) or verifies
@@ -1131,41 +1829,54 @@ impl JournalWriter {
         if self.poison.is_some() {
             return;
         }
-        if self.mode == WriterMode::Verify {
-            if let Some(expect) = self.journal.events.get(self.cursor) {
-                if expect.at == at && expect.payload == payload {
-                    self.cursor += 1;
-                } else {
-                    self.poison = Some(format!(
-                        "replay diverged at journal seq {}: journal says {:?} at {}, \
-                         replay produced {:?} at {at}",
-                        self.cursor, expect.payload, expect.at, payload
-                    ));
-                }
-                return;
+        if self.verifying() {
+            self.scratch.clear();
+            let next = encode(
+                &mut self.scratch,
+                self.cursor,
+                self.consumed as u64,
+                at,
+                &payload,
+            );
+            if self.journal.bytes[self.cursor.pos..].starts_with(&self.scratch) {
+                self.cursor = Cursor {
+                    pos: self.cursor.pos + self.scratch.len(),
+                    ..next
+                };
+                self.consumed += 1;
+            } else {
+                let (expect, _) = decode(&self.journal.bytes, self.cursor);
+                self.poison = Some(format!(
+                    "replay diverged at journal seq {}: journal says {:?} at {}, \
+                     replay produced {:?} at {at}",
+                    self.consumed, expect.payload, expect.at, payload
+                ));
             }
+            return;
+        }
+        if self.mode == WriterMode::Verify {
             // Past the journaled end: the crash tore the tail off after
             // the last input; re-derive and append the lost records.
             self.repaired_tail = true;
         }
         self.journal.push(at, payload);
-        self.cursor = self.journal.len();
+        self.cursor = self.journal.end;
+        self.consumed = self.journal.len();
     }
 
-    /// The next unconsumed record (verify mode; `None` once exhausted or
-    /// in record mode).
-    pub fn peek(&self) -> Option<&JournalEvent> {
-        match self.mode {
-            WriterMode::Verify => self.journal.events.get(self.cursor),
-            WriterMode::Record => None,
-        }
+    /// The next unconsumed record, decoded (verify mode; `None` once
+    /// exhausted or in record mode).
+    pub fn peek(&self) -> Option<JournalEvent> {
+        self.verifying()
+            .then(|| decode(&self.journal.bytes, self.cursor).0)
     }
 
     /// Skips the cursor past a record that replay does not regenerate
     /// (recovery-only records: `WriteRetrying`, `RecoveryNote`).
     pub fn skip(&mut self) {
-        if self.mode == WriterMode::Verify && self.cursor < self.journal.len() {
-            self.cursor += 1;
+        if self.verifying() {
+            self.cursor = decode(&self.journal.bytes, self.cursor).1;
+            self.consumed += 1;
         }
     }
 
@@ -1241,7 +1952,12 @@ mod tests {
         j.push(
             t(0),
             EventPayload::Genesis {
-                initial: [(did(0), Value::OFF), (did(1), Value::Int(3))].into(),
+                initial: [
+                    (did(0), Value::OFF),
+                    (did(1), Value::Int(3)),
+                    (did(2), Value::OFF),
+                ]
+                .into(),
                 workload: 2,
                 horizon: t(100_000),
             },
@@ -1410,8 +2126,9 @@ mod tests {
 
     #[test]
     fn tampered_sequence_is_rejected() {
-        let mut j = sample_journal();
-        j.events_mut()[3].seq = 99;
+        let mut events = sample_journal().events();
+        events[3].seq = 99;
+        let j: ExecutionJournal = events.into_iter().collect();
         let err = j.check_invariants().unwrap_err();
         assert!(err.contains("non-monotone sequence"), "{err}");
     }
@@ -1422,7 +2139,7 @@ mod tests {
         j.push(
             Timestamp::ZERO,
             EventPayload::Genesis {
-                initial: BTreeMap::new(),
+                initial: [(did(0), Value::OFF)].into(),
                 workload: 0,
                 horizon: Timestamp::from_secs(10),
             },
@@ -1471,7 +2188,7 @@ mod tests {
         j.push(
             Timestamp::ZERO,
             EventPayload::Genesis {
-                initial: BTreeMap::new(),
+                initial: [(did(0), Value::OFF)].into(),
                 workload: 0,
                 horizon: Timestamp::from_secs(10),
             },
@@ -1507,9 +2224,9 @@ mod tests {
 
     #[test]
     fn backwards_time_is_rejected() {
-        let mut j = sample_journal();
-        let last = j.len() - 1;
-        j.events_mut()[last].at = Timestamp::ZERO;
+        let mut events = sample_journal().events();
+        events.last_mut().unwrap().at = Timestamp::ZERO;
+        let j: ExecutionJournal = events.into_iter().collect();
         let err = j.check_invariants().unwrap_err();
         assert!(err.contains("time went backwards"), "{err}");
     }
@@ -1560,7 +2277,7 @@ mod tests {
         w.emit(
             Timestamp::ZERO,
             EventPayload::Genesis {
-                initial: BTreeMap::new(),
+                initial: [(did(0), Value::OFF)].into(),
                 workload: 0,
                 horizon: Timestamp::from_secs(1),
             },
@@ -1573,5 +2290,179 @@ mod tests {
         assert_eq!(j.len(), 2);
         assert_eq!(j.events()[1].seq, 1);
         j.check_invariants().expect("well-formed");
+    }
+
+    /// Every payload variant, and field values at the edges of their
+    /// types, decode back to exactly what was appended — including the
+    /// records a tampered journal carries (sequence gaps, time running
+    /// backwards), which the deltas must encode losslessly.
+    #[test]
+    fn byte_codec_round_trips_every_variant_and_extreme_values() {
+        let mut events = sample_journal().events();
+        let t = Timestamp;
+        let extremes = [
+            (
+                u64::MAX,
+                t(u64::MAX),
+                EventPayload::DeviceUp {
+                    device: did(u32::MAX),
+                },
+            ),
+            (0, t(0), EventPayload::DeviceDown { device: did(0) }),
+            (
+                7,
+                t(5),
+                EventPayload::Genesis {
+                    initial: [
+                        (did(3), Value::Int(i64::MIN)),
+                        (did(9), Value::Int(i64::MAX)),
+                    ]
+                    .into(),
+                    workload: u64::MAX,
+                    horizon: t(u64::MAX),
+                },
+            ),
+            (
+                8,
+                t(1_000),
+                EventPayload::TimerArmed {
+                    timer: TimerId::Kick,
+                    fire_at: t(3),
+                },
+            ),
+            (
+                9,
+                t(1_000),
+                EventPayload::DeferralReleased {
+                    pred: rid(u64::MAX),
+                    dep: u64::MAX,
+                    at: t(0),
+                },
+            ),
+            (
+                10,
+                t(1_000),
+                EventPayload::RoutineSubmitted {
+                    id: rid(u64::MAX),
+                    sub: Some(u64::MAX),
+                    routine: Routine {
+                        name: "réveil ☀".into(),
+                        commands: Vec::new(),
+                    },
+                },
+            ),
+            (
+                11,
+                t(1_000),
+                EventPayload::WriteCompleted {
+                    routine: rid(4),
+                    idx: CmdIdx(u16::MAX),
+                    device: did(2),
+                    action: Action::Read { expect: None },
+                    duration: TimeDelta(u64::MAX),
+                    rollback: true,
+                    success: false,
+                    observed: Some(Value::Int(-1)),
+                    new_state: None,
+                    edge: Some(false),
+                },
+            ),
+            (
+                12,
+                t(1_000),
+                EventPayload::Feedback {
+                    routine: None,
+                    message: String::new(),
+                },
+            ),
+        ];
+        for (seq, at, payload) in extremes {
+            events.push(JournalEvent { seq, at, payload });
+        }
+        let j: ExecutionJournal = events.iter().cloned().collect();
+        assert_eq!(j.len(), events.len());
+        assert_eq!(j.events(), events);
+        assert_eq!(j.tip_time(), t(1_000));
+        assert_eq!(ExecutionJournal::parse(&j.to_string_pretty()).unwrap(), j);
+    }
+
+    #[test]
+    fn records_are_compact() {
+        let j = sample_journal();
+        let encoded = j.approx_bytes() - std::mem::size_of::<ExecutionJournal>();
+        assert!(
+            encoded < 16 * j.len(),
+            "{encoded} bytes for {} records",
+            j.len()
+        );
+    }
+
+    #[test]
+    fn truncate_then_push_continues_the_sequence() {
+        let full = sample_journal();
+        let events = full.events();
+        let mut j = full.clone();
+        j.truncate(5);
+        assert_eq!(j.events(), events[..5]);
+        assert_eq!(j.tip_time(), events[4].at);
+        for ev in &events[5..] {
+            j.push(ev.at, ev.payload.clone());
+        }
+        assert_eq!(j, full);
+    }
+
+    #[test]
+    fn device_outside_genesis_is_rejected() {
+        for payload in [
+            EventPayload::DeviceDown { device: did(7) },
+            EventPayload::DeviceUp { device: did(7) },
+            EventPayload::WriteScheduled {
+                routine: rid(1),
+                idx: CmdIdx(0),
+                device: did(7),
+                action: Action::Set(Value::ON),
+                duration: TimeDelta::ZERO,
+                rollback: false,
+            },
+        ] {
+            let mut j = sample_journal();
+            j.push(Timestamp::from_secs(9), payload);
+            let err = j.check_invariants().unwrap_err();
+            assert!(err.contains("unknown device D7"), "{err}");
+        }
+    }
+
+    /// A write's later phases must name the device it was scheduled on:
+    /// replay feeds a completion's device to the engine.
+    #[test]
+    fn write_phase_on_another_device_is_rejected() {
+        let events = sample_journal().events();
+        let tampered = events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| {
+                matches!(
+                    e.payload,
+                    EventPayload::WriteStarted { .. }
+                        | EventPayload::WriteRetrying { .. }
+                        | EventPayload::WriteCompleted { .. }
+                )
+            })
+            .map(|(i, _)| i)
+            .collect::<Vec<_>>();
+        assert_eq!(tampered.len(), 3, "one record per later phase");
+        for i in tampered {
+            let mut events = events.clone();
+            match &mut events[i].payload {
+                EventPayload::WriteStarted { device, .. }
+                | EventPayload::WriteRetrying { device, .. }
+                | EventPayload::WriteCompleted { device, .. } => *device = did(3),
+                _ => unreachable!(),
+            }
+            let j: ExecutionJournal = events.into_iter().collect();
+            let err = j.check_invariants().unwrap_err();
+            assert!(err.contains(&format!("seq {i}")), "{err}");
+            assert!(err.contains("scheduled on D0"), "{err}");
+        }
     }
 }

@@ -636,6 +636,28 @@ impl<'a, S: TraceSink> RuntimeCore<'a, S> {
         self.fx = fx;
     }
 
+    /// Read access to the sink.
+    pub fn sink(&self) -> &S {
+        &self.sink
+    }
+
+    /// Approximate heap bytes of the controller: the struct itself, the
+    /// journal ([`ExecutionJournal::approx_bytes`]) and the submission
+    /// tables' vectors. Not chased: the engine's heap (lineages, order
+    /// tracker, lease tables) and the sink's heap (see [`Self::sink`]),
+    /// whose shapes depend on the model and the sink type.
+    pub fn approx_bytes(&self) -> usize {
+        let t = &self.tables;
+        std::mem::size_of::<Self>()
+            + self
+                .journal
+                .as_ref()
+                .map_or(0, |w| w.journal().approx_bytes())
+            + t.deferred.capacity() * std::mem::size_of::<Vec<(usize, TimeDelta)>>()
+            + t.sub_of_routine.capacity() * std::mem::size_of::<u32>()
+            + (t.committed.capacity() + t.aborted.capacity()) * std::mem::size_of::<RoutineId>()
+    }
+
     fn release_dependents<B: Backend>(&mut self, routine: RoutineId, now: Timestamp, b: &mut B) {
         let Some(sub) = self.tables.sub_of(routine) else {
             return;
@@ -705,13 +727,51 @@ impl<'a, B: Backend, S: TraceSink> HomeRuntime<'a, B, S> {
         HomeRuntime { core, backend }
     }
 
-    /// Rebinds a recovered [`RuntimeCore`] (see `crate::journal::recover`)
-    /// to a backend: the crash/restore path. With the *surviving* backend
-    /// (the sim's crash injection) the continuation is event-for-event
-    /// identical to an uncrashed run; with a fresh backend, follow up with
+    /// Binds a [`RuntimeCore`] to a backend. The core is either a parked
+    /// one ([`HomeRuntime::park`]; follow up with
+    /// [`HomeRuntime::reschedule_arrivals`] on a rebuilt backend) or a
+    /// recovered one (see `crate::journal::recover`): the crash/restore
+    /// path. With the *surviving* backend (the sim's crash injection)
+    /// the continuation is event-for-event identical to an uncrashed
+    /// run; with a fresh backend, follow up with
     /// [`HomeRuntime::redrive`] to re-issue in-flight work.
     pub fn resume(core: RuntimeCore<'a, S>, backend: B) -> Self {
         HomeRuntime { core, backend }
+    }
+
+    /// Splits the runtime into its controller and its backend, the
+    /// inverse of [`HomeRuntime::resume`]. Unlike
+    /// [`HomeRuntime::crash`] the controller survives whole: the
+    /// service runner parks an evicted home's core this way and resumes
+    /// it without replaying anything.
+    pub fn park(self) -> (RuntimeCore<'a, S>, B) {
+        (self.core, self.backend)
+    }
+
+    /// Re-schedules the workload's absolute (`At`) arrivals that have
+    /// not been submitted yet, at their original times and in workload
+    /// order — the state a backend rebuilt after [`HomeRuntime::park`]
+    /// lacks. Sound only when the home was parked at a cold point: engine
+    /// quiescent, nothing pending on the backend but future `At`
+    /// submissions (no deferral releases, timers or device I/O), which
+    /// is the service runner's eviction condition. The continuation is
+    /// then event-for-event that of a never-parked run: equal-time
+    /// arrivals keep the workload order they were first scheduled in.
+    pub fn reschedule_arrivals(&mut self) {
+        let core = &self.core;
+        let mut submitted = vec![false; core.workload.len()];
+        for &sub in &core.tables.sub_of_routine {
+            if sub != NO_SUB {
+                submitted[sub as usize] = true;
+            }
+        }
+        for (i, s) in core.workload.iter().enumerate() {
+            if let Arrival::At(at) = s.arrival {
+                if !submitted[i] {
+                    self.backend.schedule_submit(at, i);
+                }
+            }
+        }
     }
 
     /// The current run-relative time.
@@ -755,11 +815,11 @@ impl<'a, B: Backend, S: TraceSink> HomeRuntime<'a, B, S> {
     /// Panics if the runtime was assembled without a journal — there is
     /// nothing durable to crash onto.
     pub fn crash(self) -> (ExecutionJournal, B) {
-        let writer = self
-            .core
+        let (core, backend) = self.park();
+        let writer = core
             .journal
             .expect("crash() requires a journaling runtime (assemble_journaled)");
-        (writer.into_journal(), self.backend)
+        (writer.into_journal(), backend)
     }
 
     /// Engine model invariants plus — when journaling — the journal's

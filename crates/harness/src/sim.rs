@@ -143,7 +143,7 @@ impl PooledHome {
 ///
 /// The pool recycles a home's simulator state: the event queue's heap
 /// capacity and the device slots. That is a resident home's footprint
-/// minus its journal, which a journaled home holds on top and which the
+/// minus its controller (engine, sink, tables, journal), which the
 /// service runner adds when it samples
 /// `ServiceResult::approx_resident_home_bytes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,7 +194,7 @@ pub struct SimBackend<'a> {
     /// submissions — device arrivals/completions, injections, engine
     /// timers. Zero means the queue holds nothing but `Submit`s (plus
     /// possibly immaterial probes): the world is at rest, and the
-    /// service runner may park the home's state behind its journal.
+    /// service runner may evict the home.
     nonsubmit_material: usize,
     /// Funnel logging for intra-home sub-runs; `None` (the default)
     /// costs one branch per schedule call.
@@ -319,28 +319,29 @@ impl<'a> SimBackend<'a> {
     /// submission — no device I/O, injections or engine timers in
     /// flight. Together with engine quiescence (and a failure-free,
     /// absolute-arrival spec) this is the service runner's evictability
-    /// condition: the journal then captures the whole controller, and
-    /// the world reduces to the device states plus the RNG position.
+    /// condition: the controller can then be parked as it is, and the
+    /// world reduces to the device states plus the RNG position.
     pub fn only_submits_pending(&self) -> bool {
         self.nonsubmit_material == 0
     }
 
     /// Approximate heap bytes this backend pins while resident: the
-    /// event queue's retained capacity plus the device slots. A
-    /// journaled home also holds its journal
-    /// (`ExecutionJournal::approx_bytes`), which is also what survives
-    /// eviction; the service runner sums the two for a resident home.
+    /// event queue's retained capacity plus the device slots. The
+    /// controller is counted apart (`RuntimeCore::approx_bytes`): the
+    /// service runner adds it for a resident home, and it is what an
+    /// evicted home keeps besides the world snapshot.
     pub fn approx_resident_bytes(&self) -> usize {
         self.queue.approx_bytes() + self.devices.capacity() * std::mem::size_of::<VirtualDevice>()
     }
 
     /// Tears an evicted backend down to the compact world snapshot the
-    /// service runner parks beside the journal — per-device states and
-    /// the RNG position — recycling the queue and device storage into
-    /// the thread's home pool. Only sound at an eviction point (engine
-    /// quiescent, [`Self::only_submits_pending`]): pending submissions
-    /// are re-derived from the journal on recovery, and anything else in
-    /// the queue would be lost.
+    /// service runner parks beside the controller — per-device states
+    /// and the RNG position — recycling the queue and device storage
+    /// into the thread's home pool. Only sound at an eviction point
+    /// (engine quiescent, [`Self::only_submits_pending`]): pending
+    /// submissions are re-scheduled from the controller's submission
+    /// tables on resume ([`HomeRuntime::reschedule_arrivals`]), and
+    /// anything else in the queue would be lost.
     pub fn into_world_snapshot(mut self) -> (Vec<Value>, SimRng) {
         let states = self.devices.iter().map(VirtualDevice::state).collect();
         recycle_home(PooledHome {
@@ -354,9 +355,10 @@ impl<'a> SimBackend<'a> {
     /// Rebuilds a backend from an eviction-time world snapshot: pooled
     /// storage, device states forced back to `device_states`, the RNG
     /// resumed at its parked position, and — deliberately — *nothing*
-    /// scheduled. The recovered core's redrive re-issues the pending
-    /// submissions; the failure plan is not re-injected because eviction
-    /// requires an empty one.
+    /// scheduled. The resumed core re-schedules the pending submissions
+    /// ([`HomeRuntime::reschedule_arrivals`], or
+    /// [`HomeRuntime::redrive`] after crash recovery); the failure plan
+    /// is not re-injected because eviction requires an empty one.
     pub fn resurrect(spec: &'a RunSpec, device_states: &[Value], rng: SimRng) -> Self {
         let mut pooled = pooled_home();
         let mut backend = SimBackend::new(spec, &mut pooled);

@@ -387,6 +387,19 @@ impl RunCounters {
         }
     }
 
+    /// Approximate heap bytes of the sink's vectors (latency, wait and
+    /// stretch samples, the digest batch, the down-device list), by
+    /// capacity. The maps (`end_states`, in-flight submission and write
+    /// tracking) are not chased.
+    pub fn approx_heap_bytes(&self) -> usize {
+        (self.latencies_ms.capacity() + self.pending.capacity()) * std::mem::size_of::<u64>()
+            + (self.normalized_latencies.capacity()
+                + self.waits_ms.capacity()
+                + self.stretch.capacity())
+                * std::mem::size_of::<f64>()
+            + self.down.capacity() * std::mem::size_of::<DeviceId>()
+    }
+
     /// Clears the sink back to its freshly-constructed state while
     /// keeping every allocation (latency/wait/stretch vectors, digest
     /// batch buffer) — so one sink can be recycled across the trials of

@@ -2,7 +2,7 @@
 //!
 //! For random service fleets — home counts, fleet seeds, arrival rates,
 //! horizons, burst windows, epoch lengths, worker counts, stealing
-//! on/off, resident-budget and eviction-policy choices, and intra-home
+//! on/off, resident-budget choices, and intra-home
 //! cluster splitting on/off — the resident time-sliced runner
 //! (`run_service_with`) must reproduce the batch run-to-completion
 //! fleet driver (`run_fleet`) byte for byte: same per-home
@@ -10,14 +10,14 @@
 //! same slice count (where clustering is inactive — split homes slice
 //! per cluster, so the count legitimately differs). Slicing a home's
 //! timeline at arbitrary epoch boundaries, interleaving it with its
-//! shard neighbours, running its slices on thieving workers, collapsing
-//! it to its journal between slices, or decomposing it into per-cluster
+//! shard neighbours, running its slices on thieving workers, parking
+//! its controller between slices (eviction), or decomposing it into per-cluster
 //! sub-drivers and merging it back must never change which events it
 //! sees or in what order.
 
 use proptest::prelude::*;
 
-use safehome::harness::{run_fleet, run_service_with, EvictionPolicy, ServiceConfig};
+use safehome::harness::{run_fleet, run_service_with, ServiceConfig};
 use safehome::lint::cluster;
 use safehome::prelude::*;
 use safehome::workloads::{
@@ -39,7 +39,6 @@ proptest! {
         workers in 1usize..5,
         steal in any::<bool>(),
         budget_choice in 0usize..4,
-        coldest_first in any::<bool>(),
         intra in any::<bool>(),
     ) {
         // From sub-event-grain slicing to epochs spanning many arrivals.
@@ -55,9 +54,6 @@ proptest! {
         let batch = run_fleet(homes, 1, fleet_seed, make_spec);
         let mut config = ServiceConfig::new(TimeDelta::from_millis(epoch_ms)).with_steal(steal);
         config.max_resident = max_resident;
-        if coldest_first {
-            config = config.with_eviction(EvictionPolicy::ColdestFirst);
-        }
         if intra {
             // Jittered service homes fail the cluster gate, so the
             // planner declines every one — installing it must be a
@@ -83,8 +79,8 @@ proptest! {
         prop_assert_eq!(resident.intra_fallbacks, 0);
 
         // The histogram drains exactly the finished routines — through
-        // evict/recover cycles too (recovery rebuilds the sink's
-        // latency vector, so the drain cursor must stay consistent).
+        // evict/resume cycles too (the parked sink keeps its latency
+        // vector, so the drain cursor must stay consistent).
         let raw: u64 = batch
             .homes
             .iter()
