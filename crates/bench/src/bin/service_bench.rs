@@ -38,11 +38,6 @@
 //!   residency and approximate per-home resident vs evicted bytes;
 //!   results must be byte-identical to the never-evicted run
 //!   (`digest_neutral`).
-//! - `intra_home`: a fleet led by one zoned-workshop home heavy enough
-//!   to floor the whole-home-stealing makespan, split by the lint
-//!   cluster planner into independent sub-drivers — modeled makespan
-//!   steal-only vs sub-sliced, split/fallback counts, and byte-identity
-//!   of every home against the sequential reference (`digest_neutral`).
 //!
 //! Cross-checks, recorded in the JSON and enforced by exit status:
 //! per-home results byte-identical across worker counts, steal on/off
@@ -67,16 +62,14 @@ use std::time::Instant;
 use safehome_bench::support::available_parallelism;
 use safehome_core::{EngineConfig, VisibilityModel};
 use safehome_harness::{
-    build_sub_specs, home_seed, run_fleet, run_service, run_service_with, Driver, HomeRun,
-    ServiceConfig, ServiceResult,
+    home_seed, run_fleet, run_service, run_service_with, Driver, HomeRun, ServiceConfig,
+    ServiceResult,
 };
-use safehome_lint::cluster;
 use safehome_types::json::{obj, Json};
 use safehome_types::sink::RunCounters;
 use safehome_types::TimeDelta;
 use safehome_workloads::{
-    service_home, skewed_service_home, zoned_fleet_home, FleetTemplate, ServiceParams, SkewParams,
-    ZoneParams,
+    service_home, skewed_service_home, FleetTemplate, ServiceParams, SkewParams,
 };
 
 /// Worker-thread counts compared per load point.
@@ -109,19 +102,6 @@ const EVICT_BUDGET: usize = SKEW_HOMES / 8;
 /// catalog routines hold actuations for minutes — so a calm overnight
 /// rate is the shape the resident budget exists for.
 const EVICT_RATE: u64 = 6;
-
-/// Intra-home section: a zoned workshop (home 0) so heavy it dominates
-/// the whole-home-stealing makespan bound, leading an ordinary light
-/// fleet. Whole-home stealing is floored at the heaviest *home*;
-/// cluster sub-slicing is floored at the heaviest *cluster*, a ~zones×
-/// smaller unit — that gap is the section's modeled speedup.
-const INTRA_HOMES: usize = 24;
-const INTRA_ZONES: usize = 6;
-const INTRA_RPZ: usize = 200;
-const INTRA_WORKERS: usize = 4;
-/// Arrival rate / horizon of the light homes.
-const INTRA_RATE: u64 = 20;
-const INTRA_HORIZON_MINS: u64 = 30;
 
 /// Contiguous-shard makespan: the service runner shards homes as
 /// `w*homes/workers..(w+1)*homes/workers`, so a static (no-steal)
@@ -578,191 +558,6 @@ fn main() {
         ("digest_neutral", Json::from(digest_neutral)),
     ]);
 
-    // ---- Intra-home section: conflict-clustered sub-slicing --------
-    //
-    // One zoned workshop so heavy that whole-home stealing is floored
-    // at its sequential cost, leading an ordinary light fleet. The lint
-    // cluster planner splits it into `INTRA_ZONES` independent
-    // sub-drivers whose slices steal like whole-home slices, so the
-    // makespan floor drops to the heaviest *cluster* — while per-home
-    // results stay byte-identical to the sequential run.
-    let intra_base = ServiceParams::new(TimeDelta::from_mins(INTRA_HORIZON_MINS), INTRA_RATE);
-    let intra_zone = ZoneParams::new(INTRA_ZONES, TimeDelta::from_mins(10), INTRA_RPZ);
-    let intra_spec =
-        |home: usize, seed: u64| zoned_fleet_home(&template, &intra_base, &intra_zone, home, seed);
-
-    // Per-home sequential cost pass (also the reference results), then
-    // the heavy home's per-cluster costs over the same sub-specs the
-    // service runner executes.
-    let mut intra_costs = Vec::with_capacity(INTRA_HOMES);
-    let mut intra_reference = Vec::with_capacity(INTRA_HOMES);
-    for home in 0..INTRA_HOMES {
-        let seed = home_seed(SERVICE_SEED, home as u64);
-        let spec = intra_spec(home, seed);
-        let start = Instant::now();
-        let mut driver = Driver::with_sink(&spec, RunCounters::new());
-        let completed = driver.run_to_quiescence();
-        let (counters, _, _) = driver.into_output();
-        intra_costs.push(start.elapsed().as_secs_f64());
-        assert!(completed, "intra-home fleet home {home} failed to quiesce");
-        intra_reference.push(HomeRun {
-            home,
-            seed,
-            completed,
-            counters,
-        });
-    }
-    let heavy_spec = intra_spec(0, home_seed(SERVICE_SEED, 0));
-    let partition = cluster::plan(&heavy_spec)
-        .expect("the zoned workshop must pass the cluster gate and split");
-    let cluster_costs: Vec<f64> = build_sub_specs(&heavy_spec, &partition)
-        .iter()
-        .map(|sub| {
-            let start = Instant::now();
-            let mut driver = Driver::with_sink(sub, RunCounters::new());
-            assert!(driver.run_to_quiescence(), "workshop cluster stalled");
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    let intra_total: f64 = intra_costs.iter().sum();
-    let heavy_cost = intra_costs[0];
-    let max_cluster_cost = cluster_costs.iter().cloned().fold(0.0, f64::max);
-    // Whole-home stealing's floor is the heaviest home; sub-slicing
-    // replaces that home's cost with its per-cluster costs and the
-    // floor drops to the heaviest schedulable unit.
-    let modeled_steal_only_s = stealing_makespan(&intra_costs, INTRA_WORKERS);
-    let mut unit_costs = cluster_costs.clone();
-    unit_costs.extend_from_slice(&intra_costs[1..]);
-    let modeled_intra_s = stealing_makespan(&unit_costs, INTRA_WORKERS);
-    let intra_ratio = modeled_steal_only_s / modeled_intra_s;
-    eprintln!(
-        "intra: {INTRA_HOMES} homes, workshop of {} clusters ({INTRA_ZONES} zones x \
-         {INTRA_RPZ} routines) at {:.2} of total cost; modeled @ {INTRA_WORKERS} \
-         workers: steal-only {modeled_steal_only_s:.3}s vs sub-sliced \
-         {modeled_intra_s:.3}s = {intra_ratio:.2}x",
-        partition.clusters.len(),
-        heavy_cost / intra_total
-    );
-
-    let mut intra_rows = Vec::new();
-    let mut intra_neutral = true;
-    let mut intra_homes_split = 0u64;
-    let mut intra_fallbacks = 0u64;
-    for workers in WORKER_COUNTS {
-        let start = Instant::now();
-        let split = run_service_with(
-            INTRA_HOMES,
-            workers,
-            SERVICE_SEED,
-            ServiceConfig::new(EPOCH).with_intra_home(cluster::planner()),
-            intra_spec,
-        );
-        let elapsed = start.elapsed().as_secs_f64();
-        intra_neutral &= same_homes(
-            &format!("intra @ {workers} workers"),
-            &intra_reference,
-            &split.homes,
-        );
-        intra_homes_split = intra_homes_split.max(split.intra_homes);
-        intra_fallbacks = intra_fallbacks.max(split.intra_fallbacks);
-        let oversubscribed = workers > cpus;
-        let mut row = vec![
-            ("workers", Json::from(workers as u64)),
-            ("elapsed_s", Json::Float(round3(elapsed))),
-            ("steals", Json::from(split.steals())),
-            ("intra_homes", Json::from(split.intra_homes)),
-            ("intra_fallbacks", Json::from(split.intra_fallbacks)),
-        ];
-        if oversubscribed {
-            eprintln!(
-                "intra @ {workers} worker(s): {elapsed:.3}s (digest {:#018x}); wallclock \
-                 skipped: only {cpus} core(s) available",
-                split.digest()
-            );
-            row.push(("skipped", Json::from(true)));
-            row.push((
-                "reason",
-                Json::from(format!(
-                    "available_parallelism = {cpus} < {workers} workers: the wallclock \
-                     measures thread oversubscription, not scheduling; the modeled \
-                     makespan is the authoritative speedup basis"
-                )),
-            ));
-        } else {
-            eprintln!(
-                "intra @ {workers} worker(s): {elapsed:.3}s, {} slices, {} split home(s), \
-                 {} fallback(s) (digest {:#018x})",
-                split.slices,
-                split.intra_homes,
-                split.intra_fallbacks,
-                split.digest()
-            );
-        }
-        intra_rows.push(Json::Obj(
-            row.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-        ));
-    }
-    // The planner-off run over the same fleet: sub-slicing must change
-    // the schedule only, never the results.
-    let steal_only = run_service_with(
-        INTRA_HOMES,
-        INTRA_WORKERS,
-        SERVICE_SEED,
-        ServiceConfig::new(EPOCH),
-        intra_spec,
-    );
-    intra_neutral &= same_homes("intra off", &intra_reference, &steal_only.homes);
-    ok &= intra_neutral && intra_homes_split >= 1 && intra_fallbacks == 0;
-    let intra_section = obj([
-        (
-            "description",
-            Json::from(
-                "deterministic intra-home parallelism: the lint cluster planner splits \
-                 a zoned workshop into disjoint conflict clusters, each an independent \
-                 sub-driver whose epoch slices steal like whole-home slices; the merge \
-                 reconstructs the sequential pop order, so per-home counters and \
-                 digests are byte-identical to the sequential run while the makespan \
-                 floor drops from the heaviest home to the heaviest cluster",
-            ),
-        ),
-        ("homes", Json::from(INTRA_HOMES as u64)),
-        ("zones", Json::from(INTRA_ZONES as u64)),
-        ("routines_per_zone", Json::from(INTRA_RPZ as u64)),
-        ("workers", Json::from(INTRA_WORKERS as u64)),
-        ("rate_per_home_hour", Json::from(INTRA_RATE)),
-        ("horizon_minutes", Json::from(INTRA_HORIZON_MINS)),
-        ("available_parallelism", Json::from(cpus as u64)),
-        ("clusters", Json::from(partition.clusters.len() as u64)),
-        ("sequential_cost_s", Json::Float(round3(intra_total))),
-        (
-            "heavy_cost_fraction",
-            Json::Float(round3(heavy_cost / intra_total)),
-        ),
-        ("max_cluster_cost_s", Json::Float(round3(max_cluster_cost))),
-        (
-            "modeled_makespan",
-            obj([
-                (
-                    "method",
-                    Json::from(
-                        "per-home costs measured sequentially, the workshop's \
-                         per-cluster costs over the same sub-specs the service runner \
-                         executes; both bounds are work-conserving \
-                         max(total/workers, heaviest unit) — the unit is a whole home \
-                         under steal-only and a conflict cluster under sub-slicing",
-                    ),
-                ),
-                ("steal_only_s", Json::Float(round3(modeled_steal_only_s))),
-                ("intra_s", Json::Float(round3(modeled_intra_s))),
-                ("intra_speedup_over_steal", Json::Float(round3(intra_ratio))),
-            ]),
-        ),
-        ("results", Json::Arr(intra_rows)),
-        ("intra_homes", Json::from(intra_homes_split)),
-        ("intra_fallbacks", Json::from(intra_fallbacks)),
-        ("digest_neutral", Json::from(intra_neutral)),
-    ]);
-
     let section = obj([
         (
             "description",
@@ -787,7 +582,6 @@ fn main() {
         ("load_points", Json::Arr(load_rows)),
         ("steal", steal_section),
         ("eviction", eviction_section),
-        ("intra_home", intra_section),
     ]);
 
     // Merge into an existing artifact when one is present: replace any

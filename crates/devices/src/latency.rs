@@ -37,7 +37,7 @@ impl LatencyModel {
     /// `true` when sampling never consumes randomness: every draw
     /// returns the same delay, independent of RNG state. Such a model
     /// keeps the backend RNG untouched for the whole run — the property
-    /// the intra-home cluster gate relies on.
+    /// `safehome-lint`'s cluster analysis requires of a splittable home.
     pub fn is_deterministic(&self) -> bool {
         match *self {
             LatencyModel::Fixed(_) => true,

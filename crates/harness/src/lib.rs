@@ -33,7 +33,6 @@
 //! see [`journal`] for the crash/recovery semantics.
 
 pub mod fleet;
-pub mod intra;
 pub mod journal;
 pub mod runtime;
 pub mod service;
@@ -43,10 +42,6 @@ pub mod spec;
 pub use fleet::{
     home_seed, run_fleet, run_fleet_gated, run_fleet_with, FleetResult, FleetSchedule, HomeRun,
     SpecRejection, WorkerStats,
-};
-pub use intra::{
-    build_sub_specs, merge_sub_runs, run_clustered, spec_decomposable, HomePartition, IntraPlanner,
-    SubRun, SubRunLog,
 };
 pub use journal::{recover, InflightWrite, Recovered, RecoveryReport, ReplayBackend};
 pub use runtime::{Backend, CommandOutcome, HomeRuntime, HomeTables, Polled, RuntimeCore, Step};

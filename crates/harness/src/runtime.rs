@@ -297,13 +297,6 @@ impl<'a, S: TraceSink> RuntimeCore<'a, S> {
         self.horizon
     }
 
-    /// Forwards a pop boundary to the sink (see
-    /// [`TraceSink::pop_boundary`]). Traced backends call this once per
-    /// handled event, before any of the pop's sink records.
-    pub(crate) fn mark_pop_boundary(&mut self) {
-        self.sink.pop_boundary();
-    }
-
     /// Registers the workload's arrivals with the backend: absolute
     /// arrivals are scheduled, `After` chains are parked in the deferral
     /// table until their predecessor finishes (journaled as

@@ -83,18 +83,14 @@
 //! sink's latency vector.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use safehome_sim::{EventQueue, SimRng};
-use safehome_types::sink::{self, RunCounters, TraceSink};
+use safehome_types::sink::{self, RunCounters};
 use safehome_types::{LatencyHistogram, TimeDelta, Timestamp, Value};
 
 use crate::fleet::{home_seed, HomeRun, WorkerStats};
-use crate::intra::{
-    build_sub_specs, merge_sub_runs, HomePartition, IntraPlanner, SubRun, SubRunLog,
-};
 use crate::runtime::{HomeRuntime, RuntimeCore, Step};
 use crate::sim::{Driver, SimBackend};
 use crate::spec::{Arrival, RunSpec};
@@ -102,7 +98,7 @@ use crate::spec::{Arrival, RunSpec};
 /// Tuning knobs of the resident service runner. None of them may change
 /// per-home results — that is the runner's core contract — only *where*
 /// and *with how much resident state* the work happens.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Epoch slice length: slice boundaries are absolute simulated-time
     /// multiples of this.
@@ -116,40 +112,15 @@ pub struct ServiceConfig {
     /// more than `n` are resident; `None` (the default) keeps every home
     /// hot and skips journaling.
     pub max_resident: Option<usize>,
-    /// Intra-home parallelism planner. `Some` asks it to partition each
-    /// home into conflict clusters ([`crate::intra`]); a home it splits
-    /// runs as independent sub-slices — each cluster its own schedulable
-    /// unit on the shard timer queue, stealable like any whole-home
-    /// slice — and is folded back into one byte-identical
-    /// [`RunCounters`] when its last cluster finishes. Homes the planner
-    /// declines (or that later trip a fallback, e.g. a stalled sub-run)
-    /// take the sequential path.
-    /// The canonical planner is `safehome_lint::cluster::planner()`,
-    /// injected as a callback for the same layering reason as the lint
-    /// spec gate.
-    pub intra_home: Option<IntraPlanner>,
-}
-
-impl std::fmt::Debug for ServiceConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServiceConfig")
-            .field("epoch", &self.epoch)
-            .field("steal", &self.steal)
-            .field("max_resident", &self.max_resident)
-            .field("intra_home", &self.intra_home.as_ref().map(|_| "<planner>"))
-            .finish()
-    }
 }
 
 impl ServiceConfig {
-    /// Stealing on, no eviction, no intra-home splitting — the default
-    /// service shape.
+    /// Stealing on, no eviction — the default service shape.
     pub fn new(epoch: TimeDelta) -> Self {
         ServiceConfig {
             epoch,
             steal: true,
             max_resident: None,
-            intra_home: None,
         }
     }
 
@@ -162,12 +133,6 @@ impl ServiceConfig {
     /// Builder-style resident budget.
     pub fn with_max_resident(mut self, max_resident: usize) -> Self {
         self.max_resident = Some(max_resident);
-        self
-    }
-
-    /// Builder-style intra-home planner.
-    pub fn with_intra_home(mut self, planner: IntraPlanner) -> Self {
-        self.intra_home = Some(planner);
         self
     }
 }
@@ -218,14 +183,6 @@ pub struct ServiceResult {
     /// engine's heap and the sink's maps are not chased (see
     /// `RuntimeCore::approx_bytes`). 0 when nothing was evicted.
     pub approx_evicted_home_bytes: usize,
-    /// Homes the intra-home planner split and the runner merged back
-    /// from per-cluster sub-runs (0 without a planner).
-    pub intra_homes: u64,
-    /// Split homes whose merge declined (a sub-run stalled) and that
-    /// were re-run sequentially. Should be 0 in practice — the planner's
-    /// gate filters what the merge cannot handle — so benches hard-gate
-    /// on it.
-    pub intra_fallbacks: u64,
 }
 
 impl ServiceResult {
@@ -296,20 +253,8 @@ where
     )
 }
 
-/// One schedulable unit: a whole home, or one conflict cluster of a
-/// home the intra-home planner split. Units are what the shard timer
-/// queues park and pop — a split home's clusters are stealable independently,
-/// which is the whole point: a heavy home stops being one indivisible
-/// lump of work.
-#[derive(Debug, Clone, Copy)]
-struct UnitMeta {
-    home: usize,
-    /// `None`: the whole home. `Some(c)`: cluster `c` of its partition.
-    cluster: Option<usize>,
-}
-
-/// One unit's slot: its execution state plus the per-home latency drain
-/// cursor, which survives eviction along with the parked sink.
+/// One home's slot: its execution state plus the latency drain cursor,
+/// which survives eviction along with the parked sink.
 struct HomeSlot<'a> {
     cell: Cell<'a>,
     drained: usize,
@@ -317,8 +262,7 @@ struct HomeSlot<'a> {
     /// probe loops or injections) and absolute arrivals only (replay's
     /// pending-submit order is then provably the original schedule
     /// order). The dynamic half — quiescent, only future submissions
-    /// pending — is re-checked at every park. Always `false` for
-    /// cluster units: a split home stays hot until its merge.
+    /// pending — is re-checked at every park.
     evictable_spec: bool,
 }
 
@@ -329,13 +273,8 @@ enum Cell<'a> {
     // ~400 B terminal variants); the indirection keeps the per-home
     // slot vector small once homes finish or evict.
     Live(Box<Driver<'a, RunCounters>>),
-    /// A cluster sub-driver of a split home, recording its sink-call
-    /// stream for the merge.
-    LiveSub(Box<Driver<'a, SubRunLog>>),
     // Boxed: the parked controller is as large as a live one's.
     Evicted(Box<EvictedHome<'a>>),
-    /// A finished cluster sub-run, waiting for its siblings.
-    FinishedSub(Box<SubRun>),
     Finished {
         // Boxed for the same reason as `Live`: terminal counters carry
         // the full latency vector, dwarfing `Vacant`/`Evicted`.
@@ -402,48 +341,48 @@ fn resident_bytes(d: &Driver<'_, RunCounters>) -> usize {
 /// The dynamic half of evictability: the home is unfinished, its engine
 /// quiescent, and nothing but future submissions is pending on its
 /// backend.
-fn is_cold<S: TraceSink>(d: &Driver<'_, S>) -> bool {
+fn is_cold(d: &Driver<'_, RunCounters>) -> bool {
     !d.is_done() && d.engine().quiescent() && d.backend().only_submits_pending()
 }
 
 /// One shard's shared scheduling state.
 #[derive(Default)]
 struct ShardCore {
-    /// Timer queue of parked units. The payload carries the *true* park
+    /// Timer queue of parked homes. The payload carries the *true* park
     /// time: concurrent pops may clamp the queued timestamp forward, and
     /// the candidate bookkeeping below must match the original.
     timers: EventQueue<(usize, Timestamp)>,
-    /// Parked units currently satisfying the full evictability
+    /// Parked homes currently satisfying the full evictability
     /// condition, keyed by next-event time — `last` is the coldest.
     /// Kept exactly in sync with `scores` below: every mutation goes
     /// through [`Self::park_candidate`] / [`Self::unpark_candidate`],
-    /// which compact a unit's previous entry on re-park, so a unit has
+    /// which compact a home's previous entry on re-park, so a home has
     /// at most one live entry and an entry can never outlive a pop or
     /// an eviction race (entries used to linger when an evicted home's
     /// concurrent re-park re-inserted it; consumers still re-validate
     /// under the slot lock before acting, as the timer pop itself can
     /// race the claim).
     parked: BTreeSet<(u64, usize)>,
-    /// Side index: unit → its current score key in `parked`. The single
-    /// source of truth for membership, enabling removal by unit alone.
+    /// Side index: home → its current score key in `parked`. The single
+    /// source of truth for membership, enabling removal by home alone.
     scores: BTreeMap<usize, u64>,
 }
 
 impl ShardCore {
     /// Registers (or refreshes) a parked eviction candidate, compacting
-    /// any stale entry the unit left behind.
-    fn park_candidate(&mut self, unit: usize, score: u64) {
-        if let Some(old) = self.scores.insert(unit, score) {
-            self.parked.remove(&(old, unit));
+    /// any stale entry the home left behind.
+    fn park_candidate(&mut self, home: usize, score: u64) {
+        if let Some(old) = self.scores.insert(home, score) {
+            self.parked.remove(&(old, home));
         }
-        self.parked.insert((score, unit));
+        self.parked.insert((score, home));
     }
 
-    /// Withdraws a unit's candidate entry (pop, steal or eviction
+    /// Withdraws a home's candidate entry (pop, steal or eviction
     /// claim). `false` when it had none — the usual race outcome.
-    fn unpark_candidate(&mut self, unit: usize) -> bool {
-        match self.scores.remove(&unit) {
-            Some(score) => self.parked.remove(&(score, unit)),
+    fn unpark_candidate(&mut self, home: usize) -> bool {
+        match self.scores.remove(&home) {
+            Some(score) => self.parked.remove(&(score, home)),
             None => false,
         }
     }
@@ -460,31 +399,17 @@ impl ShardCore {
 /// re-park path) — never the reverse — so there is no cycle.
 struct ServiceCtx<'a> {
     specs: &'a [RunSpec],
-    /// Per home: the cluster sub-specs when the planner split it
-    /// (empty otherwise).
-    sub_specs: &'a [Vec<RunSpec>],
-    /// Per home: the planner's partition, `None` for sequential homes.
-    partitions: &'a [Option<HomePartition>],
-    /// All schedulable units, grouped by home (`home_units[h]` indexes
-    /// a contiguous range of `units`/`slots`).
-    units: Vec<UnitMeta>,
-    home_units: Vec<Range<usize>>,
-    /// Per home: unfinished cluster units; the worker that takes it to
-    /// zero performs the merge. Unused for sequential homes.
-    pending_units: Vec<AtomicUsize>,
     shards: Vec<Mutex<ShardCore>>,
     slots: Vec<Mutex<HomeSlot<'a>>>,
     epoch_ms: u64,
     steal: bool,
     max_resident: Option<usize>,
-    /// Unfinished units; workers exit when it hits zero.
+    /// Unfinished homes; workers exit when it hits zero.
     live: AtomicUsize,
     resident: AtomicUsize,
     peak_resident: AtomicUsize,
     evictions: AtomicU64,
     recoveries: AtomicU64,
-    intra_homes: AtomicU64,
-    intra_fallbacks: AtomicU64,
     resident_bytes: AtomicUsize,
     evicted_bytes: AtomicUsize,
     barrier: Barrier,
@@ -494,16 +419,6 @@ impl<'a> ServiceCtx<'a> {
     fn note_resident(&self) {
         let now = self.resident.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak_resident.fetch_max(now, Ordering::SeqCst);
-    }
-
-    /// The spec a unit executes: the home's own, or its cluster's
-    /// projection.
-    fn unit_spec(&self, unit: usize) -> &'a RunSpec {
-        let meta = self.units[unit];
-        match meta.cluster {
-            None => &self.specs[meta.home],
-            Some(c) => &self.sub_specs[meta.home][c],
-        }
     }
 }
 
@@ -554,52 +469,14 @@ where
         })
     };
 
-    // Phase 1.5 — intra-home planning: ask the planner (when installed)
-    // to partition each home into conflict clusters, and project the
-    // split homes' specs. Planning is pure in the spec, so this changes
-    // no results — only the unit granularity below.
-    let partitions: Vec<Option<HomePartition>> = match &config.intra_home {
-        None => vec![None; homes],
-        Some(planner) => specs
-            .iter()
-            .map(|spec| planner(spec).filter(HomePartition::is_split))
-            .collect(),
-    };
-    let sub_specs: Vec<Vec<RunSpec>> = specs
-        .iter()
-        .zip(&partitions)
-        .map(|(spec, p)| match p {
-            Some(p) => build_sub_specs(spec, p),
-            None => Vec::new(),
-        })
-        .collect();
-    let mut units = Vec::with_capacity(homes);
-    let mut home_units = Vec::with_capacity(homes);
-    for (home, p) in partitions.iter().enumerate() {
-        let start = units.len();
-        match p {
-            Some(p) => units.extend((0..p.clusters.len()).map(|c| UnitMeta {
-                home,
-                cluster: Some(c),
-            })),
-            None => units.push(UnitMeta {
-                home,
-                cluster: None,
-            }),
-        }
-        home_units.push(start..units.len());
-    }
-
     let ctx = ServiceCtx {
-        slots: units
+        slots: specs
             .iter()
-            .map(|meta| {
-                let spec = &specs[meta.home];
+            .map(|spec| {
                 Mutex::new(HomeSlot {
                     cell: Cell::Vacant,
                     drained: 0,
-                    evictable_spec: meta.cluster.is_none()
-                        && config.max_resident.is_some()
+                    evictable_spec: config.max_resident.is_some()
                         && spec.failures.is_empty()
                         && spec
                             .submissions
@@ -608,16 +485,8 @@ where
                 })
             })
             .collect(),
-        pending_units: home_units
-            .iter()
-            .map(|r| AtomicUsize::new(r.len()))
-            .collect(),
-        live: AtomicUsize::new(units.len()),
-        units,
-        home_units,
+        live: AtomicUsize::new(homes),
         specs: &specs,
-        sub_specs: &sub_specs,
-        partitions: &partitions,
         shards: (0..workers)
             .map(|_| Mutex::new(ShardCore::default()))
             .collect(),
@@ -628,8 +497,6 @@ where
         peak_resident: AtomicUsize::new(0),
         evictions: AtomicU64::new(0),
         recoveries: AtomicU64::new(0),
-        intra_homes: AtomicU64::new(0),
-        intra_fallbacks: AtomicU64::new(0),
         resident_bytes: AtomicUsize::new(0),
         evicted_bytes: AtomicUsize::new(0),
         barrier: Barrier::new(workers),
@@ -662,25 +529,14 @@ where
         peak_resident_homes: ctx.peak_resident.load(Ordering::SeqCst),
         approx_resident_home_bytes: ctx.resident_bytes.load(Ordering::SeqCst),
         approx_evicted_home_bytes: ctx.evicted_bytes.load(Ordering::SeqCst),
-        intra_homes: ctx.intra_homes.load(Ordering::SeqCst),
-        intra_fallbacks: ctx.intra_fallbacks.load(Ordering::SeqCst),
     };
     for (hist, stats) in outputs {
         result.latency.merge(&hist);
         result.slices += stats.slices_run;
         result.worker_stats.push(stats);
     }
-    // A home's terminal counters live in its *primary* unit slot (its
-    // only unit, or cluster 0 — where the merging worker parked them).
-    let home_units = ctx.home_units.clone();
-    let mut slots: Vec<Option<HomeSlot>> = ctx
-        .slots
-        .into_iter()
-        .map(|s| Some(s.into_inner().expect("no worker holds a slot now")))
-        .collect();
-    for (home, range) in home_units.iter().enumerate() {
-        let slot = slots[range.start].take().expect("primary slot present");
-        match slot.cell {
+    for (home, slot) in ctx.slots.into_iter().enumerate() {
+        match slot.into_inner().expect("no worker holds a slot now").cell {
             Cell::Finished {
                 counters,
                 completed,
@@ -707,57 +563,38 @@ fn service_worker<'a>(
     let mut hist = LatencyHistogram::new();
 
     for home in lo..hi {
-        for unit in ctx.home_units[home].clone() {
-            let meta = ctx.units[unit];
-            let spec = ctx.unit_spec(unit);
-            if meta.cluster.is_some() {
-                // A cluster sub-driver: traced (funnel log + pop-segmented
-                // sink) so the finishing worker can merge the home back
-                // byte-identically. Never journaled, never evictable —
-                // split homes stay hot until their merge.
-                let d = Driver::with_sink_traced(spec, SubRunLog::new());
-                let next = d.backend().next_event_at().unwrap_or(Timestamp::ZERO);
-                ctx.slots[unit].lock().expect("slot").cell = Cell::LiveSub(Box::new(d));
-                ctx.note_resident();
-                ctx.shards[w]
-                    .lock()
-                    .expect("shard")
-                    .timers
-                    .schedule(next, (unit, next));
-                continue;
-            }
-            // Eviction needs the journal as the durable half of the home;
-            // journaling is digest-neutral, so the knob never changes
-            // results (pinned by `journaling_is_digest_neutral`).
-            let d = if ctx.max_resident.is_some() {
-                Driver::with_journal(spec, RunCounters::new())
-            } else {
-                Driver::with_sink(spec, RunCounters::new())
-            };
-            let next = d.backend().next_event_at().unwrap_or(Timestamp::ZERO);
-            if home == lo {
-                ctx.resident_bytes
-                    .fetch_max(resident_bytes(&d), Ordering::SeqCst);
-            }
-            let evictable = {
-                let mut slot = ctx.slots[unit].lock().expect("slot");
-                let evictable = slot.evictable_spec && is_cold(&d);
-                slot.cell = Cell::Live(Box::new(d));
-                evictable
-            };
-            ctx.note_resident();
-            {
-                let mut sc = ctx.shards[w].lock().expect("shard");
-                sc.timers.schedule(next, (unit, next));
-                if evictable {
-                    sc.park_candidate(unit, next.as_millis());
-                }
-            }
-            // Evict-at-birth keeps even the construction phase inside the
-            // budget: a fresh all-`At` home is already cold (nothing
-            // submitted yet), so it can park behind its genesis journal.
-            evict_over_budget(ctx, w);
+        let spec = &ctx.specs[home];
+        // Eviction needs the journal as the durable half of the home;
+        // journaling is digest-neutral, so the knob never changes
+        // results (pinned by `journaling_is_digest_neutral`).
+        let d = if ctx.max_resident.is_some() {
+            Driver::with_journal(spec, RunCounters::new())
+        } else {
+            Driver::with_sink(spec, RunCounters::new())
+        };
+        let next = d.backend().next_event_at().unwrap_or(Timestamp::ZERO);
+        if home == lo {
+            ctx.resident_bytes
+                .fetch_max(resident_bytes(&d), Ordering::SeqCst);
         }
+        let evictable = {
+            let mut slot = ctx.slots[home].lock().expect("slot");
+            let evictable = slot.evictable_spec && is_cold(&d);
+            slot.cell = Cell::Live(Box::new(d));
+            evictable
+        };
+        ctx.note_resident();
+        {
+            let mut sc = ctx.shards[w].lock().expect("shard");
+            sc.timers.schedule(next, (home, next));
+            if evictable {
+                sc.park_candidate(home, next.as_millis());
+            }
+        }
+        // Evict-at-birth keeps even the construction phase inside the
+        // budget: a fresh all-`At` home is already cold (nothing
+        // submitted yet), so it can park behind its genesis journal.
+        evict_over_budget(ctx, w);
     }
 
     // All shards populated before anyone may steal from them.
@@ -791,27 +628,27 @@ fn service_worker<'a>(
     (hist, stats)
 }
 
-/// Pops the earliest parked unit from shard `s`, maintaining the
-/// eviction-candidate set. Returns `(shard, unit)`.
+/// Pops the earliest parked home from shard `s`, maintaining the
+/// eviction-candidate set. Returns `(shard, home)`.
 fn pop_shard(ctx: &ServiceCtx<'_>, s: usize) -> Option<(usize, usize)> {
     let mut sc = ctx.shards[s].lock().expect("shard");
-    let (_, (unit, _next)) = sc.timers.pop()?;
-    sc.unpark_candidate(unit);
-    Some((s, unit))
+    let (_, (home, _next)) = sc.timers.pop()?;
+    sc.unpark_candidate(home);
+    Some((s, home))
 }
 
 /// Advances one epoch slice: runs `d` through every event strictly
 /// before the next absolute epoch boundary after its own earliest
 /// pending event. Never derive that boundary from the shard queue's
 /// popped timestamp: concurrent pops may have clamped it forward, and slice
-/// structure must stay a property of the unit and the epoch grid alone.
+/// structure must stay a property of the home and the epoch grid alone.
 ///
-/// Returns `Some(next_event)` when the unit should re-park, `None` when
-/// it reached a terminal state. (A unit that could already report
+/// Returns `Some(next_event)` when the home should re-park, `None` when
+/// it reached a terminal state. (A home that could already report
 /// quiescence but still holds an immaterial probe event parks at most
 /// once more — its next slice's first step resolves to done without
 /// popping the probe.)
-fn advance_slice<S: TraceSink>(d: &mut Driver<'_, S>, epoch_ms: u64) -> Option<Timestamp> {
+fn advance_slice(d: &mut Driver<'_, RunCounters>, epoch_ms: u64) -> Option<Timestamp> {
     let end = match d.backend().next_event_at() {
         Some(next) => Timestamp::from_millis((next.as_millis() / epoch_ms + 1) * epoch_ms),
         None => Timestamp::ZERO, // first step observes quiescence
@@ -830,20 +667,16 @@ fn advance_slice<S: TraceSink>(d: &mut Driver<'_, S>, epoch_ms: u64) -> Option<T
     }
 }
 
-/// Runs one epoch slice of `unit`, resuming it first if it was
-/// evicted. `shard` is the unit's owning shard (where it re-parks).
+/// Runs one epoch slice of `home`, resuming it first if it was
+/// evicted. `shard` is the home's owning shard (where it re-parks).
 fn run_slice<'a>(
     ctx: &ServiceCtx<'a>,
     shard: usize,
-    unit: usize,
+    home: usize,
     stats: &mut WorkerStats,
     hist: &mut LatencyHistogram,
 ) {
-    let meta = ctx.units[unit];
-    if meta.cluster.is_some() {
-        return run_sub_slice(ctx, shard, unit, stats, hist);
-    }
-    let mut slot = ctx.slots[unit].lock().expect("slot");
+    let mut slot = ctx.slots[home].lock().expect("slot");
     let slot = &mut *slot;
     let evictable_spec = slot.evictable_spec;
 
@@ -851,21 +684,21 @@ fn run_slice<'a>(
         let Cell::Evicted(ev) = std::mem::replace(&mut slot.cell, Cell::Vacant) else {
             unreachable!()
         };
-        slot.cell = Cell::Live(Box::new(ev.resume(&ctx.specs[meta.home])));
+        slot.cell = Cell::Live(Box::new(ev.resume(&ctx.specs[home])));
         ctx.recoveries.fetch_add(1, Ordering::SeqCst);
         ctx.note_resident();
     }
     stats.slices_run += 1;
 
     let Cell::Live(d) = &mut slot.cell else {
-        unreachable!("popped unit {unit} is neither live nor evicted")
+        unreachable!("popped home {home} is neither live nor evicted")
     };
     if let Some(next) = advance_slice(d, ctx.epoch_ms) {
         let evictable = evictable_spec && is_cold(d);
         let mut sc = ctx.shards[shard].lock().expect("shard");
-        sc.timers.schedule(next, (unit, next));
+        sc.timers.schedule(next, (home, next));
         if evictable {
-            sc.park_candidate(unit, next.as_millis());
+            sc.park_candidate(home, next.as_millis());
         }
     }
 
@@ -897,112 +730,6 @@ fn run_slice<'a>(
     }
 }
 
-/// Runs one epoch slice of a cluster sub-unit: same slice discipline as
-/// a whole home, recording sink, never evicted. The worker that
-/// finishes the home's last cluster performs the merge — after this
-/// unit's slot lock is released, since the merge relocks every sibling
-/// slot (including, possibly, this one).
-fn run_sub_slice<'a>(
-    ctx: &ServiceCtx<'a>,
-    shard: usize,
-    unit: usize,
-    stats: &mut WorkerStats,
-    hist: &mut LatencyHistogram,
-) {
-    stats.slices_run += 1;
-    let finished = {
-        let mut slot = ctx.slots[unit].lock().expect("slot");
-        let Cell::LiveSub(d) = &mut slot.cell else {
-            unreachable!("popped cluster unit {unit} is not a live sub-driver")
-        };
-        match advance_slice(d, ctx.epoch_ms) {
-            Some(next) => {
-                ctx.shards[shard]
-                    .lock()
-                    .expect("shard")
-                    .timers
-                    .schedule(next, (unit, next));
-                false
-            }
-            None => {
-                let Cell::LiveSub(mut d) = std::mem::replace(&mut slot.cell, Cell::Vacant) else {
-                    unreachable!()
-                };
-                let funnel = d.backend_mut().take_funnel_log();
-                let (log, _, completed) = d.into_output();
-                slot.cell = Cell::FinishedSub(Box::new(SubRun {
-                    log,
-                    funnel,
-                    completed,
-                }));
-                ctx.resident.fetch_sub(1, Ordering::SeqCst);
-                true
-            }
-        }
-    };
-    if finished {
-        let home = ctx.units[unit].home;
-        let remaining = ctx.pending_units[home].fetch_sub(1, Ordering::SeqCst) - 1;
-        if remaining == 0 {
-            merge_home(ctx, home, stats, hist);
-        }
-        ctx.live.fetch_sub(1, Ordering::Release);
-    }
-}
-
-/// Folds a split home's finished sub-runs back into the one
-/// [`RunCounters`] the sequential path would have produced, parking it
-/// in the home's primary unit slot. Runs on whichever worker finished
-/// the last cluster. If the merge declines (a sub-run stalled — the
-/// planner's gate makes that exceptional), the home is re-run
-/// sequentially from scratch: slower, never wrong.
-fn merge_home<'a>(
-    ctx: &ServiceCtx<'a>,
-    home: usize,
-    stats: &mut WorkerStats,
-    hist: &mut LatencyHistogram,
-) {
-    let range = ctx.home_units[home].clone();
-    let mut subs = Vec::with_capacity(range.len());
-    for u in range.clone() {
-        let mut slot = ctx.slots[u].lock().expect("slot");
-        let Cell::FinishedSub(sr) = std::mem::replace(&mut slot.cell, Cell::Vacant) else {
-            unreachable!("sibling unit {u} of merged home {home} is not a finished sub-run")
-        };
-        subs.push(*sr);
-    }
-    let spec = &ctx.specs[home];
-    let partition = ctx.partitions[home]
-        .as_ref()
-        .expect("merged home has a partition");
-    let (counters, completed) = match merge_sub_runs(spec, partition, subs) {
-        Some(counters) => {
-            ctx.intra_homes.fetch_add(1, Ordering::SeqCst);
-            (counters, true)
-        }
-        None => {
-            ctx.intra_fallbacks.fetch_add(1, Ordering::SeqCst);
-            let mut d = Driver::with_sink(spec, RunCounters::new());
-            let completed = d.run_to_quiescence();
-            let (counters, _, _) = d.into_output();
-            (counters, completed)
-        }
-    };
-    // Split homes drain latencies only here, all at once: sub-runs
-    // record no samples (their sink is the call log), and the merged
-    // counters rebuild the exact sequential latency vector.
-    for &ms in &counters.latencies_ms {
-        hist.record(ms);
-    }
-    let mut slot = ctx.slots[range.start].lock().expect("slot");
-    slot.drained = counters.latencies_ms.len();
-    slot.cell = Cell::Finished {
-        counters: Box::new(counters),
-        completed,
-    };
-    stats.homes_run += 1;
-}
-
 /// Evicts coldest-first (farthest next event) while the fleet-wide
 /// resident count exceeds the budget. The budget is global,
 /// so the victim search sweeps *every* shard's parked candidates
@@ -1024,18 +751,18 @@ fn evict_over_budget(ctx: &ServiceCtx<'_>, shard: usize) {
         for i in 0..shards {
             let s = (shard + i) % shards;
             let sc = ctx.shards[s].lock().expect("shard");
-            if let Some((score, unit)) = sc.best_victim() {
+            if let Some((score, home)) = sc.best_victim() {
                 if best.is_none_or(|(b, _, _)| score > b) {
-                    best = Some((score, unit, s));
+                    best = Some((score, home, s));
                 }
             }
         }
-        let Some((_, unit, s)) = best else { return };
+        let Some((_, home, s)) = best else { return };
         // Claim it; a pop or re-park may have raced the peek — re-scan.
-        if !ctx.shards[s].lock().expect("shard").unpark_candidate(unit) {
+        if !ctx.shards[s].lock().expect("shard").unpark_candidate(home) {
             continue;
         }
-        let mut slot = ctx.slots[unit].lock().expect("slot");
+        let mut slot = ctx.slots[home].lock().expect("slot");
         if !matches!(&slot.cell, Cell::Live(d) if is_cold(d)) {
             continue;
         }
@@ -1122,10 +849,10 @@ mod tests {
         spec
     }
 
-    /// A decomposable "factory" home: independent 3-device zones, fixed
-    /// latency, no failures, absolute arrivals — everything the
-    /// intra-home gate wants. Routines never cross zones.
-    fn zoned_home(zones: usize, seed: u64) -> RunSpec {
+    /// A fixed-latency home of independent 3-device zones: no RNG draws
+    /// for latency, no failures, absolute arrivals only. Routines never
+    /// cross zones.
+    fn fixed_latency_home(zones: usize, seed: u64) -> RunSpec {
         let mut rng = SimRng::seed_from_u64(seed);
         let mut spec = RunSpec::new(
             plug_home(zones * 3),
@@ -1158,122 +885,6 @@ mod tests {
         spec
     }
 
-    /// A hand-rolled planner with the same rule as `safehome-lint`'s
-    /// cluster analysis (which lives above this crate): union on shared
-    /// footprint device or `After` edge, gated on the harness
-    /// preconditions.
-    fn test_planner() -> crate::intra::IntraPlanner {
-        std::sync::Arc::new(|spec: &RunSpec| {
-            if !crate::intra::spec_decomposable(spec) {
-                return None;
-            }
-            let n = spec.submissions.len();
-            let mut root: Vec<usize> = (0..n).collect();
-            fn find(root: &mut [usize], mut x: usize) -> usize {
-                while root[x] != x {
-                    root[x] = root[root[x]];
-                    x = root[x];
-                }
-                x
-            }
-            let mut owner: std::collections::BTreeMap<DeviceId, usize> = Default::default();
-            for i in 0..n {
-                for d in spec.submissions[i].routine.devices() {
-                    let j = *owner.entry(d).or_insert(i);
-                    let (a, b) = (find(&mut root, i), find(&mut root, j));
-                    root[a.max(b)] = a.min(b);
-                }
-                if let Arrival::After { index, .. } = spec.submissions[i].arrival {
-                    let (a, b) = (find(&mut root, i), find(&mut root, index));
-                    root[a.max(b)] = a.min(b);
-                }
-            }
-            let mut clusters: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-            for i in 0..n {
-                let r = find(&mut root, i);
-                clusters.entry(r).or_default().push(i);
-            }
-            let p = crate::intra::HomePartition {
-                clusters: clusters.into_values().collect(),
-            };
-            p.is_split().then_some(p)
-        })
-    }
-
-    /// Half the fleet decomposable factory homes, half the jittery
-    /// service mix the planner must decline.
-    fn mixed_home(home: usize, seed: u64) -> RunSpec {
-        if home.is_multiple_of(2) {
-            zoned_home(3 + home % 3, seed)
-        } else {
-            service_shaped_home(home, seed)
-        }
-    }
-
-    #[test]
-    fn intra_home_splitting_is_digest_neutral() {
-        let base = run_service_with(
-            8,
-            1,
-            0x147,
-            ServiceConfig::new(TimeDelta::from_secs(10)),
-            mixed_home,
-        );
-        assert_eq!(base.intra_homes, 0, "no planner, no splits");
-        for workers in [1, 2, 4] {
-            for steal in [false, true] {
-                let intra = run_service_with(
-                    8,
-                    workers,
-                    0x147,
-                    ServiceConfig::new(TimeDelta::from_secs(10))
-                        .with_steal(steal)
-                        .with_intra_home(test_planner()),
-                    mixed_home,
-                );
-                assert_eq!(
-                    base.homes, intra.homes,
-                    "sub-slice execution must be invisible in results \
-                     ({workers} workers, steal={steal})"
-                );
-                assert_eq!(base.digest(), intra.digest());
-                assert_eq!(intra.intra_homes, 4, "every factory home splits");
-                assert_eq!(intra.intra_fallbacks, 0, "the gate admits no stalls");
-                assert_eq!(
-                    base.latency.count(),
-                    intra.latency.count(),
-                    "merged homes drain every latency sample exactly once"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn intra_home_composes_with_eviction() {
-        // Split homes stay hot; unsplit cold homes still evict around
-        // them, and results stay byte-identical.
-        let base = run_service_with(
-            8,
-            2,
-            0xFAC7,
-            ServiceConfig::new(TimeDelta::from_secs(10)),
-            mixed_home,
-        );
-        let both = run_service_with(
-            8,
-            2,
-            0xFAC7,
-            ServiceConfig::new(TimeDelta::from_secs(10))
-                .with_max_resident(2)
-                .with_intra_home(test_planner()),
-            mixed_home,
-        );
-        assert_eq!(base.homes, both.homes);
-        assert_eq!(base.digest(), both.digest());
-        assert!(both.intra_homes > 0);
-        assert!(both.evictions > 0, "unsplit homes must still evict");
-    }
-
     /// The journal stays the crash-recovery source of truth: at every
     /// cold point of a small journaled fleet the home is evicted, and
     /// `recover()` on a copy of the parked journal must rebuild a sink
@@ -1290,7 +901,7 @@ mod tests {
             let spec = match home % 3 {
                 0 => evictable_home(home, seed),
                 1 => tied_home(seed),
-                _ => zoned_home(3, seed),
+                _ => fixed_latency_home(3, seed),
             };
             let mut want = Driver::with_sink(&spec, RunCounters::new());
             assert!(want.run_to_quiescence());

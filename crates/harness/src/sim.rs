@@ -56,52 +56,6 @@ fn is_material(ev: &Ev) -> bool {
     !matches!(ev, Ev::Probe(_) | Ev::ProbeTimeout(_))
 }
 
-/// Provenance of one funnel-scheduled event (see [`FunnelEntry`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FunnelParent {
-    /// Scheduled while the driver was being constructed — the `rank`-th
-    /// funnel call before the first pop (an absolute-arrival submission).
-    Init {
-        /// Construction-time call rank.
-        rank: u32,
-    },
-    /// Scheduled while handling pop `pop` — the `rank`-th funnel call of
-    /// that pop's handler.
-    Pop {
-        /// Index of the causing pop.
-        pop: u32,
-        /// Call rank within that pop's handler.
-        rank: u32,
-    },
-}
-
-/// One record of the sub-run funnel log: every event a traced backend
-/// schedules through its `SimBackend::schedule` funnel, with the
-/// effective enqueue time (arrival clamped forward to the clock, exactly
-/// as the queue does) and the pop that caused it. Because the queue pops
-/// in (time, insertion) order and — on a failure-free, probe-free spec —
-/// every event passes through the funnel, a stable sort of the log by
-/// `t_eff` *is* the pop order, and the parent links let the intra-home
-/// merge reconstruct the sequential interleaving across clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FunnelEntry {
-    /// Effective enqueue time: `max(at, clock)`.
-    pub t_eff: Timestamp,
-    /// The construction rank or pop that scheduled this event.
-    pub parent: FunnelParent,
-}
-
-/// Funnel-log state of a traced backend (intra-home sub-runs only).
-#[derive(Debug, Default)]
-struct SubTrace {
-    log: Vec<FunnelEntry>,
-    /// Pops handled so far; `None` current pop means construction.
-    current: Option<u32>,
-    pops: u32,
-    /// Funnel calls made in the current context.
-    rank: u32,
-}
-
 /// One recyclable bundle of per-home state: the event queue's
 /// bucket/deque storage, the virtual device vec (each device keeps its
 /// pending-dispatch deque), and the runtime's submission tables.
@@ -196,9 +150,6 @@ pub struct SimBackend<'a> {
     /// possibly immaterial probes): the world is at rest, and the
     /// service runner may evict the home.
     nonsubmit_material: usize,
-    /// Funnel logging for intra-home sub-runs; `None` (the default)
-    /// costs one branch per schedule call.
-    subtrace: Option<SubTrace>,
 }
 
 impl<'a> SimBackend<'a> {
@@ -228,7 +179,6 @@ impl<'a> SimBackend<'a> {
             latency: spec.latency,
             material: 0,
             nonsubmit_material: 0,
-            subtrace: None,
         }
     }
 
@@ -281,27 +231,7 @@ impl<'a> SimBackend<'a> {
                 self.nonsubmit_material += 1;
             }
         }
-        if let Some(st) = self.subtrace.as_mut() {
-            let parent = match st.current {
-                None => FunnelParent::Init { rank: st.rank },
-                Some(pop) => FunnelParent::Pop { pop, rank: st.rank },
-            };
-            st.rank += 1;
-            st.log.push(FunnelEntry {
-                t_eff: at.max(self.queue.now()),
-                parent,
-            });
-        }
         self.queue.schedule(at, ev);
-    }
-
-    /// Drains the funnel log of a traced backend (empty for untraced
-    /// ones). The intra-home merge calls this once the sub-run is done.
-    pub fn take_funnel_log(&mut self) -> Vec<FunnelEntry> {
-        self.subtrace
-            .as_mut()
-            .map(|st| std::mem::take(&mut st.log))
-            .unwrap_or_default()
     }
 
     /// Timestamp of the earliest pending simulation event, if any.
@@ -410,12 +340,6 @@ impl Backend for SimBackend<'_> {
             if !matches!(ev, Ev::Submit(_)) {
                 self.nonsubmit_material -= 1;
             }
-        }
-        if let Some(st) = self.subtrace.as_mut() {
-            st.current = Some(st.pops);
-            st.pops += 1;
-            st.rank = 0;
-            core.mark_pop_boundary();
         }
         match ev {
             Ev::Submit(i) => core.submit_indexed(i, now, self),
@@ -587,31 +511,9 @@ impl<'a, S: TraceSink> Driver<'a, S> {
         )
     }
 
-    /// A driver with funnel logging enabled — the intra-home sub-run
-    /// variant. Behaves event-for-event like [`Driver::with_sink`]; in
-    /// addition the backend records one [`FunnelEntry`] per scheduled
-    /// event (construction included) and the sink sees a
-    /// [`TraceSink::pop_boundary`] before every handled pop, which
-    /// together let [`crate::intra`] merge sub-runs deterministically.
-    pub fn with_sink_traced(spec: &'a RunSpec, sink: S) -> Self {
-        Self::build_traced(spec, sink, None, true)
-    }
-
     fn build(spec: &'a RunSpec, sink: S, journal: Option<JournalWriter>) -> Self {
-        Self::build_traced(spec, sink, journal, false)
-    }
-
-    fn build_traced(
-        spec: &'a RunSpec,
-        sink: S,
-        journal: Option<JournalWriter>,
-        traced: bool,
-    ) -> Self {
         let mut pooled = pooled_home();
-        let mut backend = SimBackend::new(spec, &mut pooled);
-        if traced {
-            backend.subtrace = Some(SubTrace::default());
-        }
+        let backend = SimBackend::new(spec, &mut pooled);
         let engine = Engine::new(spec.config.clone(), &spec.home.initial_states());
         let mut driver = HomeRuntime::assemble_journaled(
             engine,

@@ -1,5 +1,5 @@
 //! Conflict clustering: partitioning a workload into independent
-//! sub-workloads for deterministic intra-home parallelism.
+//! sub-workloads.
 //!
 //! Two submissions belong to the same cluster when they can influence
 //! each other's execution in *any* way the engine tracks:
@@ -14,20 +14,38 @@
 //!
 //! The partition is the union-find closure of those edges. Each cluster
 //! then owns a disjoint device set and a prefix-closed `After`
-//! subgraph, which is exactly what
-//! [`safehome_harness::intra`] needs to run clusters as independent
-//! sub-drivers and merge them back byte-identically.
+//! subgraph.
 //!
-//! [`plan`] wraps the partition in the full eligibility gate (the
-//! harness's spec-level preconditions plus a hazard-clean lint report
-//! and an actual split); [`planner`] packages it as the injectable
-//! service callback.
+//! [`plan`] wraps the partition in an eligibility gate: the spec-level
+//! conditions under which clusters could not couple through the
+//! simulated world either (no failure plan, no RNG-drawn latency, EV's
+//! device-local scheduling), a hazard-clean lint report and an actual
+//! split. It is a purely static verdict — nothing in the workspace
+//! executes clusters separately. The verdict answers how much of a
+//! workload is even a candidate for splitting: the bundled generators
+//! all model the paper's jittered device latency, so `plan` declines
+//! every one of their homes (pinned by this crate's
+//! `tests/cluster_traffic.rs`).
 
-use safehome_harness::{
-    intra::{HomePartition, IntraPlanner},
-    Arrival, RunSpec,
-};
+use safehome_core::VisibilityModel;
+use safehome_harness::{Arrival, RunSpec};
 use safehome_types::DeviceId;
+
+/// A partition of a home's submissions into conflict clusters:
+/// `clusters[k]` holds the workload indices of cluster `k`, each in
+/// original submission order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HomePartition {
+    /// Workload indices per cluster, ascending within each cluster.
+    pub clusters: Vec<Vec<usize>>,
+}
+
+impl HomePartition {
+    /// `true` when the partition actually splits the home.
+    pub fn is_split(&self) -> bool {
+        self.clusters.len() >= 2
+    }
+}
 
 /// Union-find over submission indices (path-halving + union by size).
 struct Dsu {
@@ -105,21 +123,30 @@ pub fn partition(spec: &RunSpec) -> HomePartition {
     HomePartition { clusters: out }
 }
 
+/// The spec-level preconditions of cluster independence: an empty
+/// failure plan (no injections, probes or cross-cluster failure
+/// serialization), a latency model that never draws from the home's
+/// shared RNG, and the EV model, whose scheduling state is
+/// device-local (GSV serializes globally; PSV and WV are not covered).
+fn decomposable(spec: &RunSpec) -> bool {
+    spec.failures.is_empty()
+        && spec.latency.is_deterministic()
+        && matches!(spec.config.model, VisibilityModel::Ev { .. })
+}
+
 /// The full eligibility gate: returns a partition only when the
-/// sub-run equivalence proof applies *and* splitting is worthwhile —
+/// clusters are independent *and* the home actually splits —
 ///
-/// - the harness preconditions hold ([`spec_decomposable`]: empty
-///   failure plan, deterministic latency, EV model),
+/// - the spec-level preconditions hold (empty failure plan,
+///   deterministic latency, EV model),
 /// - the spec is hazard-clean ([`crate::check`] — an Error-severity
 ///   diagnostic like a dangling `After` edge would make the structural
 ///   partition itself unreliable),
 /// - the partition actually splits the home (≥ 2 clusters).
 ///
-/// `None` means "run sequentially", never "error".
-///
-/// [`spec_decomposable`]: safehome_harness::intra::spec_decomposable
+/// `None` means "not splittable", never "error".
 pub fn plan(spec: &RunSpec) -> Option<HomePartition> {
-    if !safehome_harness::intra::spec_decomposable(spec) {
+    if !decomposable(spec) {
         return None;
     }
     if crate::check(spec).is_err() {
@@ -129,17 +156,16 @@ pub fn plan(spec: &RunSpec) -> Option<HomePartition> {
     p.is_split().then_some(p)
 }
 
-/// [`plan`] packaged as the service's injectable planner callback, the
-/// same pattern as wiring [`crate::check`] into
-/// `safehome_harness::fleet::run_fleet_gated`.
-pub fn planner() -> IntraPlanner {
-    std::sync::Arc::new(plan)
+/// [`plan`] as a plain function value, for callers that take the
+/// verdict as a callback.
+pub fn planner() -> fn(&RunSpec) -> Option<HomePartition> {
+    plan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safehome_core::{EngineConfig, VisibilityModel};
+    use safehome_core::EngineConfig;
     use safehome_devices::catalog::plug_home;
     use safehome_devices::LatencyModel;
     use safehome_harness::Submission;

@@ -1,7 +1,7 @@
 //! safehome-lint: static routine/workload analyzer.
 //!
 //! Analyzes a [`Home`] catalog plus a [`RunSpec`] *without executing
-//! anything*: no engine, no RNG draws, no trace. Three products:
+//! anything*: no engine, no RNG draws, no trace. Four products:
 //!
 //! 1. **Footprints** — per-routine read/write summaries
 //!    ([`safehome_types::DeviceAccess`], computed by
@@ -18,6 +18,9 @@
 //!    chains) at Error, semantic smells (irreversible-after-fallible,
 //!    best-effort ordering, duplicate/contradictory writes,
 //!    failure-plan mismatches) at Warning.
+//! 4. **Clusters** ([`cluster`]) — the partition of a workload into
+//!    device-disjoint, `After`-closed groups of submissions, and the
+//!    gate ([`plan`]) that says whether a home could be split along it.
 //!
 //! The analysis is *sound for conflicts*: every conflict the runtime can
 //! observe is predicted (`tests/lint_soundness.rs` cross-checks this
@@ -43,7 +46,7 @@ use safehome_harness::RunSpec;
 use safehome_types::routine::DeviceAccess;
 use safehome_types::DeviceId;
 
-pub use cluster::{partition, plan, planner};
+pub use cluster::{partition, plan, planner, HomePartition};
 pub use conflict::{serial_bound, windows, AccessKind, ConflictPrediction, Window};
 pub use observed::{activity_intervals, observed_conflicts, submission_indices, ObservedConflict};
 pub use rules::{Diagnostic, RuleId, Severity, Span};

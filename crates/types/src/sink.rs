@@ -31,9 +31,10 @@ pub trait TraceSink {
     /// Appends one run event.
     fn record(&mut self, at: Timestamp, kind: TraceEventKind);
 
-    /// Marks the boundary between two backend event pops. Only
-    /// instrumenting sinks (the intra-home sub-run recorder) segment the
-    /// call stream by pop; ordinary sinks ignore it.
+    /// Marks the boundary between two backend event pops. No driver in
+    /// this workspace calls it; it stays in the trait because sinks
+    /// built outside the workspace (such as perfbench's `TimedSink`)
+    /// override it to forward the mark to the sink they wrap.
     fn pop_boundary(&mut self) {}
 
     /// Finalizes the sink when the run ends: the engine's witness order,
@@ -450,32 +451,6 @@ impl RunCounters {
         flush_words(&mut self.digest, &mut self.pending);
     }
 
-    /// Registers a submission from its shape alone — command count and
-    /// ideal runtime are everything [`TraceSink::record_submission`]
-    /// reads off the routine definition. Replaying a recorded call
-    /// stream (the intra-home merge) uses this to reproduce the exact
-    /// same counter and digest updates without the `Routine` in hand.
-    pub fn record_submission_shape(
-        &mut self,
-        id: RoutineId,
-        commands: u32,
-        ideal_ms: u64,
-        at: Timestamp,
-    ) {
-        self.submitted += 1;
-        self.submitted_at.insert(
-            id,
-            SubInfo {
-                submitted: at,
-                commands,
-                ideal_ms,
-                started: None,
-            },
-        );
-        self.end_time = at;
-        self.fold(&(at, TraceEventKind::Submitted { routine: id }));
-    }
-
     fn finish_routine(&mut self, routine: RoutineId, at: Timestamp, committed: bool) {
         if let Some(info) = self.submitted_at.remove(&routine) {
             let latency = at.since(info.submitted).as_millis();
@@ -494,12 +469,18 @@ impl RunCounters {
 
 impl TraceSink for RunCounters {
     fn record_submission(&mut self, id: RoutineId, routine: &Routine, at: Timestamp) {
-        self.record_submission_shape(
+        self.submitted += 1;
+        self.submitted_at.insert(
             id,
-            routine.commands.len() as u32,
-            routine.ideal_runtime().as_millis().max(1),
-            at,
+            SubInfo {
+                submitted: at,
+                commands: routine.commands.len() as u32,
+                ideal_ms: routine.ideal_runtime().as_millis().max(1),
+                started: None,
+            },
         );
+        self.end_time = at;
+        self.fold(&(at, TraceEventKind::Submitted { routine: id }));
     }
 
     fn record(&mut self, at: Timestamp, kind: TraceEventKind) {

@@ -18,6 +18,6 @@ pub use micro::MicroParams;
 pub use scenarios::{
     crash_index, crash_recovery, expected_diagnostics, factory, fleet_morning, morning,
     neighborhood_home, party, run_uncrashed, run_with_crash, service_home, skewed_service_home,
-    zoned_fleet_home, zoned_home, BurstWindow, CrashRecoveryRun, FleetTemplate, NeighborhoodParams,
-    NeighborhoodPlan, ServiceParams, SkewParams, ZoneParams,
+    BurstWindow, CrashRecoveryRun, FleetTemplate, NeighborhoodParams, NeighborhoodPlan,
+    ServiceParams, SkewParams,
 };

@@ -28,7 +28,6 @@ pub mod morning;
 pub mod neighborhood;
 pub mod party;
 pub mod service;
-pub mod zones;
 
 pub use annotations::expected_diagnostics;
 pub use crash::{crash_index, crash_recovery, run_uncrashed, run_with_crash, CrashRecoveryRun};
@@ -37,4 +36,3 @@ pub use morning::{fleet_morning, morning, FleetTemplate};
 pub use neighborhood::{neighborhood_home, NeighborhoodParams, NeighborhoodPlan};
 pub use party::party;
 pub use service::{service_home, skewed_service_home, BurstWindow, ServiceParams, SkewParams};
-pub use zones::{zoned_fleet_home, zoned_home, ZoneParams};

@@ -62,19 +62,6 @@ should trip):
   below the unbounded run's peak (the budget visibly binds; the exact
   peak is scheduling-dependent, so only the strict inequality is
   gated).
-- service.intra_home: the conflict-clustered sub-slicing subsection
-  must carry ``digest_neutral: true`` outright (every home
-  byte-identical to the sequential reference at every worker count and
-  with the planner off), must have actually split the workshop
-  (``intra_homes >= 1`` into ``clusters >= 4``) with **zero** merge
-  fallbacks (``intra_fallbacks == 0`` — the gate admits only workloads
-  the sub-run equivalence proof covers, so any fallback means the gate
-  or the planner regressed), and its modeled-makespan speedup over
-  whole-home stealing must stay >=
-  ``--min-intra-home-makespan-ratio`` (default 1.3x). As with the
-  steal section, the modeled basis is machine-independent and
-  authoritative; per-worker wallclock rows carrying ``skipped: true``
-  are reported, never gated.
 - fleet correctness flags must hold outright: per-home results identical
   across worker counts and across Static/Stealing schedules.
 - the steal-vs-static comparison's modeled-makespan speedup must stay
@@ -270,7 +257,6 @@ def check_service(
     min_service_rate_ratio,
     max_service_p99_ratio,
     min_steal_makespan_ratio,
-    min_intra_home_makespan_ratio,
 ):
     section = new.get("service")
     check(section is not None, "fleet: service section present")
@@ -286,7 +272,6 @@ def check_service(
     )
     check_service_steal(section, min_steal_makespan_ratio)
     check_service_eviction(section)
-    check_service_intra_home(section, min_intra_home_makespan_ratio)
     points = section.get("load_points", [])
     check(len(points) >= 2, f"service: >= 2 load points recorded (got {len(points)})")
     for point in points:
@@ -392,47 +377,6 @@ def check_service_eviction(section):
     )
 
 
-def check_service_intra_home(section, min_intra_home_makespan_ratio):
-    intra = section.get("intra_home")
-    check(intra is not None, "service: intra_home section present")
-    if intra is None:
-        return
-    check(
-        intra.get("digest_neutral") is True,
-        "service: sub-sliced per-home results byte-identical to the sequential "
-        "reference at every worker count and with the planner off",
-    )
-    clusters = intra.get("clusters", 0)
-    check(
-        intra.get("intra_homes", 0) >= 1 and clusters >= 4,
-        f"service: the workshop actually split ({intra.get('intra_homes')} home(s) "
-        f"into {clusters} clusters, need >= 4)",
-    )
-    # Hard zero: the eligibility gate admits only workloads the sub-run
-    # equivalence proof covers, so a single fallback means the gate or
-    # the planner regressed — not a tolerable slow path.
-    check(
-        intra.get("intra_fallbacks") == 0,
-        f"service: zero intra-home merge fallbacks "
-        f"(got {intra.get('intra_fallbacks')})",
-    )
-    modeled = intra.get("modeled_makespan", {})
-    ratio = modeled.get("intra_speedup_over_steal")
-    check(
-        isinstance(ratio, (int, float)) and ratio >= min_intra_home_makespan_ratio,
-        f"service: sub-slicing {ratio}x whole-home stealing (modeled makespan, "
-        f"workshop fleet) >= {min_intra_home_makespan_ratio}x",
-    )
-    skipped = [r["workers"] for r in intra.get("results", []) if r.get("skipped")]
-    if skipped:
-        workers = ", ".join(str(w) for w in skipped)
-        print(
-            f"note: service intra_home wallclock skipped at {workers} worker(s) "
-            "(oversubscribed on the bench machine) — the modeled-makespan gate "
-            "above is authoritative"
-        )
-
-
 def diff_digest_sidecars(new_path, base_path, expect_digest_change):
     """Per-home digest diff.
 
@@ -521,7 +465,6 @@ def main():
     ap.add_argument("--min-service-rate-ratio", type=float, default=0.4)
     ap.add_argument("--max-service-p99-ratio", type=float, default=1.25)
     ap.add_argument("--min-steal-makespan-ratio", type=float, default=1.2)
-    ap.add_argument("--min-intra-home-makespan-ratio", type=float, default=1.3)
     args = ap.parse_args()
 
     check_placement(load(args.placement), load(args.baseline_placement), args.max_slowdown)
@@ -536,7 +479,6 @@ def main():
         args.min_service_rate_ratio,
         args.max_service_p99_ratio,
         args.min_steal_makespan_ratio,
-        args.min_intra_home_makespan_ratio,
     )
     diff_digest_sidecars(
         args.digests,
