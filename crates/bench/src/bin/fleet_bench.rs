@@ -1,43 +1,33 @@
-//! `fleet_bench` — machine-readable multi-home fleet throughput.
+//! `fleet_bench` — deterministic checks of the batch fleet driver.
 //!
-//! Two sections, one JSON artifact (`BENCH_fleet.json`):
+//! Wall-clock throughput is perfbench's job (`BENCHMARK.json`); this bin
+//! checks what must hold on any machine and writes it to one JSON
+//! artifact (`BENCH_fleet.json`) plus a per-home digest sidecar:
 //!
-//! 1. **Homogeneous morning fleet** — N independent morning-scenario
-//!    homes (§7.2, per-home parameter jitter) built from one shared
-//!    [`FleetTemplate`] and run through the sharded fleet driver with
-//!    the counters-only trace sink, once per worker-thread count
-//!    (1, 2, 4): homes/sec per thread count, fleet-wide latency
-//!    percentiles, outcome totals, the determinism cross-check (per-home
-//!    digests identical across thread counts) and the schedule
-//!    cross-check (`Static` and `Stealing` byte-identical per home).
-//! 2. **Heterogeneous neighborhood fleet** (`steal_vs_static`) — the
-//!    correlated-outage scenario, where per-home cost is heavy-tailed
-//!    (storm-center homes cost ~25× a mild one, ~100× a clean one).
-//!    Per-home costs are measured sequentially, then `Static` and
-//!    `Stealing` are compared two ways:
-//!    - *wallclock*: both schedules actually run at 4 workers (on a
-//!      machine with fewer than 4 idle cores this degenerates — total
-//!      CPU work is equal, so the ratio reads ~1);
-//!    - *modeled makespan*: from the measured per-home costs, static =
-//!      the max round-robin worker sum, stealing = a greedy least-loaded
-//!      schedule (what the stealer converges to). This equals the
-//!      wall-clock a ≥4-core machine observes and is what the CI gate
-//!      checks, because it is stable on shared runners.
+//! 1. **Morning fleet** — N §7.2 morning homes built from one shared
+//!    [`FleetTemplate`] through `run_fleet` at 1, 2 and 4 workers: per-home
+//!    results identical across worker counts, and, on a machine with more
+//!    than one core, the best multi-worker run faster than the
+//!    single-worker one (two timings of the same run, never a baseline).
+//! 2. **Journal** — the same homes driven one by one with the execution
+//!    journal on: each home's counters equal its unjournaled run, and the
+//!    journaled rate is recorded next to the same run's single-worker
+//!    rate so the gate can compare the two.
+//! 3. **Lint** — `safehome-lint` over the same homes: no Error-severity
+//!    diagnostic, the lint-gated fleet reproduces the ungated one byte for
+//!    byte, and lints/sec for the one baseline gate left on it.
+//! 4. **Neighborhood** (`steal_vs_static`) — the correlated-outage fleet,
+//!    whose per-home cost is heavy-tailed. A sequential pass drives each
+//!    home alone and counts its events; the stealing fleet at 2 and 4
+//!    workers must reproduce it per home. The modeled speedup of stealing
+//!    over static sharding takes those event counts as per-home costs
+//!    (static = largest round-robin worker sum, stealing = greedy
+//!    least-loaded schedule, what the stealer converges to), so it is a
+//!    pure function of the fleet and cannot flake.
 //!
-//! Also written: a compact per-home digest sidecar (`<out>.digests.tsv`)
-//! with one `section  home  seed  digest` line per home, so a re-run can
-//! diff exactly *which* homes changed rather than only learning that the
-//! fleet digest moved; an `event_loop` JSON section recording the
-//! single-worker morning throughput that gates the PR's queue/effect-
-//! delivery optimizations; and a `journal` JSON section recording the
-//! same fleet run with the per-home execution journal enabled — the
-//! journaling overhead is gated at >= 0.5x of the event_loop baseline,
-//! and every journaled home is checked digest-identical to its
-//! unjournaled run (journaling must be digest-neutral); and a `lint`
-//! JSON section recording static-analysis throughput (lints/sec over
-//! the same template homes) plus a digest-neutrality check of the
-//! lint-gated fleet driver (`run_fleet_gated` with the Error-severity
-//! gate must reproduce the ungated per-home results byte for byte).
+//! The sidecar (`<out>.digests.tsv`) has one `section home seed digest`
+//! line per home (morning, neighborhood, journal), so a re-run diffs to
+//! exactly the homes whose event streams changed.
 //!
 //! Usage:
 //! ```text
@@ -47,98 +37,36 @@
 //!
 //! `--expect-digest-change` stamps `expect_digest_change: true` into the
 //! JSON: pass it (and commit the regenerated sidecar) when a semantic
-//! change intentionally moves per-home digests — the CI gate fails
-//! sidecar diffs that arrive without the marker.
+//! change intentionally moves per-home digests — the gate fails sidecar
+//! diffs that arrive without the marker.
 //!
-//! Exits non-zero when any home fails to reach quiescence, when any
-//! thread count records a non-positive rate, or when per-home results
-//! differ across thread counts or schedules.
+//! Exits non-zero when any home fails to reach quiescence, per-home
+//! results differ across worker counts, journaling, the lint gate or the
+//! sequential reference, a bundled home carries a lint error, or
+//! multi-worker runs are not faster than one worker on a multi-core
+//! machine.
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
+use safehome_bench::support::{
+    available_parallelism, greedy_makespan, round3, round_robin_makespan, same_homes,
+    sequential_reference,
+};
 use safehome_core::{EngineConfig, VisibilityModel};
-use safehome_harness::{home_seed, run_fleet_with, Driver, FleetResult, FleetSchedule, HomeRun};
+use safehome_harness::{run_fleet, run_fleet_gated, Driver, FleetResult};
 use safehome_metrics::stats::percentile;
 use safehome_types::json::{obj, Json};
 use safehome_types::sink::RunCounters;
 use safehome_workloads::{neighborhood_home, FleetTemplate, NeighborhoodParams, NeighborhoodPlan};
 
-/// Worker-thread counts the acceptance tracker compares.
+/// Worker-thread counts of the morning fleet.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 /// Fleet seed: every thread count replays the identical fleet.
 const FLEET_SEED: u64 = 0x5afe_f1ee;
 /// Fleet seed of the neighborhood (steal-vs-static) section.
 const NEIGHBORHOOD_SEED: u64 = 0x5afe_0b0d;
-/// Worker count of the steal-vs-static comparison.
+/// Worker count of the steal-vs-static model.
 const COMPARE_WORKERS: usize = 4;
-
-fn fleet(
-    template: &FleetTemplate,
-    homes: usize,
-    workers: usize,
-    schedule: FleetSchedule,
-) -> FleetResult {
-    run_fleet_with(homes, workers, FLEET_SEED, schedule, |_, seed| {
-        template.home_spec(seed)
-    })
-}
-
-fn neighborhood_fleet(
-    template: &FleetTemplate,
-    plan: &NeighborhoodPlan,
-    homes: usize,
-    workers: usize,
-    schedule: FleetSchedule,
-) -> FleetResult {
-    run_fleet_with(homes, workers, NEIGHBORHOOD_SEED, schedule, |home, seed| {
-        neighborhood_home(template, plan, home, seed)
-    })
-}
-
-/// `true` when two fleets have byte-identical per-home results.
-fn same_homes(label: &str, a: &[HomeRun], b: &[HomeRun]) -> bool {
-    if a.len() != b.len() {
-        eprintln!("{label}: home count mismatch ({} vs {})", a.len(), b.len());
-        return false;
-    }
-    let mut same = true;
-    for (x, y) in a.iter().zip(b) {
-        if x != y {
-            eprintln!("{label}: home {} diverged", x.home);
-            same = false;
-        }
-    }
-    same
-}
-
-/// Max round-robin worker sum: the makespan a static shard schedule
-/// yields on `workers` idle cores given the measured per-home costs.
-fn static_makespan(costs: &[f64], workers: usize) -> f64 {
-    let mut sums = vec![0.0f64; workers];
-    for (i, c) in costs.iter().enumerate() {
-        sums[i % workers] += c;
-    }
-    sums.iter().cloned().fold(0.0, f64::max)
-}
-
-/// Greedy least-loaded (list-scheduling) makespan: homes in index order,
-/// each onto the currently least-loaded worker. This is what the
-/// work-stealing scheduler converges to — a thief takes pending work the
-/// moment it goes idle — and is within one home of optimal here.
-fn greedy_makespan(costs: &[f64], workers: usize) -> f64 {
-    let mut sums = vec![0.0f64; workers];
-    for &c in costs {
-        let w = sums
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("costs are finite"))
-            .map(|(i, _)| i)
-            .expect("at least one worker");
-        sums[w] += c;
-    }
-    sums.iter().cloned().fold(0.0, f64::max)
-}
 
 fn outcomes_obj(fleet: &FleetResult) -> Json {
     obj([
@@ -153,12 +81,7 @@ fn outcomes_obj(fleet: &FleetResult) -> Json {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--expect-digest-change`: record in the artifact that a per-home
-    // digest change vs the committed sidecar baseline is intentional
-    // (semantic change being re-baselined in the same commit). The CI
-    // gate fails on sidecar changes unless the fresh JSON carries this
-    // marker.
-    let mut expect_digest_change = {
+    let expect_digest_change = {
         let before = args.len();
         args.retain(|a| a != "--expect-digest-change");
         args.len() != before
@@ -177,19 +100,20 @@ fn main() {
         .unwrap_or(512);
 
     let template = FleetTemplate::morning(EngineConfig::new(VisibilityModel::ev()));
-    let cpus = safehome_bench::support::available_parallelism();
+    let morning_spec = |_: usize, seed: u64| template.home_spec(seed);
+    let cpus = available_parallelism();
     let mut ok = true;
 
-    // Warmup: touch every code path once so the first timed run does not
-    // pay allocator and page-fault overhead the later ones skip.
-    fleet(&template, homes.clamp(4, 64), 2, FleetSchedule::Stealing);
+    // Warmup: the first timed run should not pay allocator and
+    // page-fault costs the later ones skip.
+    run_fleet(homes.clamp(4, 64), 2, FLEET_SEED, morning_spec);
 
-    // ---- Section 1: homogeneous morning fleet ----------------------
-    let mut results = Vec::new();
+    // ---- Morning fleet ---------------------------------------------
     let mut rows = Vec::new();
+    let mut runs = Vec::new();
     for workers in WORKER_COUNTS {
         let start = Instant::now();
-        let result = fleet(&template, homes, workers, FleetSchedule::Stealing);
+        let result = run_fleet(homes, workers, FLEET_SEED, morning_spec);
         let elapsed = start.elapsed().as_secs_f64();
         let rate = homes as f64 / elapsed;
         eprintln!(
@@ -201,50 +125,27 @@ fn main() {
             result.all_completed(),
             "{workers} workers: some homes failed to reach quiescence"
         );
-        assert!(rate > 0.0, "{workers} workers: non-positive rate");
         rows.push(obj([
             ("workers", Json::from(workers as u64)),
             ("elapsed_s", Json::Float(round3(elapsed))),
             ("homes_per_sec", Json::Float(round3(rate))),
         ]));
-        results.push((workers, rate, result));
+        runs.push((rate, result));
     }
-
-    // Determinism cross-check: byte-identical per-home results for every
-    // thread count. The outcome is recorded in the JSON and the bin
-    // exits non-zero after writing it, so the artifact never claims a
-    // verification that did not hold.
-    let (_, _, base) = &results[0];
+    let (single_rate, base) = &runs[0];
+    let single_rate = *single_rate;
     let mut deterministic = true;
-    for (workers, _, result) in &results[1..] {
+    for (workers, (_, result)) in WORKER_COUNTS.iter().zip(&runs).skip(1) {
         deterministic &= same_homes(&format!("{workers} workers"), &base.homes, &result.homes);
     }
-    if deterministic {
-        eprintln!("determinism: per-home results identical across {WORKER_COUNTS:?} workers");
-    }
-    // Schedule cross-check: Static must agree byte-for-byte too.
-    let static_morning = fleet(&template, homes, COMPARE_WORKERS, FleetSchedule::Static);
-    let morning_agree = same_homes("static vs stealing", &base.homes, &static_morning.homes);
-    ok &= deterministic && morning_agree;
-
-    let single_rate = results[0].1;
-    let best_multi = results[1..]
-        .iter()
-        .map(|&(_, r, _)| r)
-        .fold(f64::MIN, f64::max);
+    ok &= deterministic;
+    let best_multi = runs[1..].iter().map(|&(r, _)| r).fold(f64::MIN, f64::max);
     eprintln!(
-        "speedup: best multi-thread {:.2}x over single-thread ({cpus} CPU(s) available; \
-         homes are independent, so the speedup tracks the core count)",
+        "speedup: best multi-worker {:.2}x over single-worker ({cpus} core(s))",
         best_multi / single_rate
     );
 
-    // ---- Section 1b: journaled event loop --------------------------
-    // The same morning homes, run sequentially with the per-home
-    // execution journal enabled: every lifecycle, side-effect and
-    // deferral record is appended as the run executes. Journaling must
-    // be digest-neutral — each home's full counters (digest included)
-    // are compared against the unjournaled run — and its cost is the
-    // journal-vs-event_loop ratio the regression gate checks.
+    // ---- Journal ---------------------------------------------------
     let mut journal_digest_rows = Vec::with_capacity(homes);
     let mut journal_neutral = true;
     let mut journal_records = 0usize;
@@ -252,43 +153,35 @@ fn main() {
     for h in &base.homes {
         let spec = template.home_spec(h.seed);
         let mut driver = Driver::with_journal(&spec, RunCounters::new());
-        let completed = driver.run_to_quiescence();
-        assert!(completed, "journaled home {} failed to quiesce", h.home);
+        assert!(
+            driver.run_to_quiescence(),
+            "journaled home {} failed to quiesce",
+            h.home
+        );
         journal_records += driver.journal().expect("journaled driver").len();
         let (counters, _, _) = driver.into_output();
         if counters != h.counters {
-            eprintln!(
-                "journal: home {} diverged from its unjournaled run \
-                 (journaling must be digest-neutral)",
-                h.home
-            );
+            eprintln!("journal: home {} diverged from its unjournaled run", h.home);
             journal_neutral = false;
         }
         journal_digest_rows.push((h.home, h.seed, counters.digest));
     }
-    let journal_elapsed = journal_start.elapsed().as_secs_f64();
-    let journal_rate = homes as f64 / journal_elapsed;
+    let journal_rate = homes as f64 / journal_start.elapsed().as_secs_f64();
     eprintln!(
-        "journal: {homes} homes in {journal_elapsed:.3}s = {journal_rate:.1} homes/sec \
-         ({:.1} records/home, {:.2}x the unjournaled single-worker rate)",
+        "journal: {journal_rate:.1} homes/sec ({:.1} records/home, {:.2}x the \
+         unjournaled single-worker rate)",
         journal_records as f64 / homes as f64,
         journal_rate / single_rate
     );
     ok &= journal_neutral;
 
-    // ---- Section 1c: static analysis (safehome-lint) ---------------
-    // Lint throughput over the same template homes (spec construction
-    // included, mirroring what a lint-before-run hook pays), plus the
-    // digest-neutrality check: the lint-gated fleet driver must
-    // reproduce the ungated per-home results byte for byte, because the
-    // gate only *reads* specs before anything executes.
+    // ---- Lint ------------------------------------------------------
     let mut lint_diagnostics = 0usize;
     let mut lint_conflicts = 0usize;
     let mut lint_errors = 0usize;
     let lint_start = Instant::now();
     for h in &base.homes {
-        let spec = template.home_spec(h.seed);
-        let report = safehome_lint::analyze_spec(&spec);
+        let report = safehome_lint::analyze_spec(&template.home_spec(h.seed));
         lint_diagnostics += report.diagnostics.len();
         lint_conflicts += report.conflicts.len();
         lint_errors += report
@@ -297,26 +190,19 @@ fn main() {
             .filter(|d| d.severity >= safehome_lint::Severity::Error)
             .count();
     }
-    let lint_elapsed = lint_start.elapsed().as_secs_f64();
-    let lint_rate = homes as f64 / lint_elapsed;
+    let lint_rate = homes as f64 / lint_start.elapsed().as_secs_f64();
     eprintln!(
-        "lint: {homes} homes in {lint_elapsed:.3}s = {lint_rate:.1} lints/sec \
-         ({lint_diagnostics} diagnostics, {lint_conflicts} predicted conflict pairs, \
-         {lint_errors} errors)"
+        "lint: {lint_rate:.1} lints/sec ({lint_diagnostics} diagnostics, {lint_conflicts} \
+         predicted conflict pairs, {lint_errors} errors)"
     );
-    if lint_errors > 0 {
-        eprintln!("lint: bundled fleet homes must carry no Error-severity diagnostics");
-        ok = false;
-    }
-    let gated = safehome_harness::run_fleet_gated(
+    ok &= lint_errors == 0;
+    let gate_digest_neutral = match run_fleet_gated(
         homes,
         2,
         FLEET_SEED,
-        FleetSchedule::Stealing,
         |_, spec| safehome_lint::check(spec),
-        |_, seed| template.home_spec(seed),
-    );
-    let gate_digest_neutral = match gated {
+        morning_spec,
+    ) {
         Ok(result) => same_homes("lint-gated fleet", &base.homes, &result.homes),
         Err(rejection) => {
             eprintln!("lint gate rejected a bundled home: {rejection}");
@@ -325,150 +211,44 @@ fn main() {
     };
     ok &= gate_digest_neutral;
 
-    // ---- Section 2: heterogeneous neighborhood fleet ---------------
+    // ---- Neighborhood ----------------------------------------------
     let params = NeighborhoodParams::default();
     let plan = NeighborhoodPlan::generate(NEIGHBORHOOD_SEED, n_homes, &params);
-    eprintln!(
-        "neighborhood: {n_homes} homes, {} hit by correlated outages",
-        plan.affected()
+    let neighborhood_spec =
+        |home: usize, seed: u64| neighborhood_home(&template, &plan, home, seed);
+    let (reference, events) = sequential_reference(n_homes, NEIGHBORHOOD_SEED, neighborhood_spec);
+    assert!(
+        reference.iter().all(|h| h.completed),
+        "a neighborhood home failed to quiesce"
     );
-
-    // Per-home cost measurement: one sequential pass, timing each home.
-    // This doubles as the single-worker reference for the determinism
-    // and schedule cross-checks below.
-    let mut costs = Vec::with_capacity(n_homes);
-    let mut reference = Vec::with_capacity(n_homes);
-    let seq_start = Instant::now();
-    for home in 0..n_homes {
-        let seed = home_seed(NEIGHBORHOOD_SEED, home as u64);
-        let start = Instant::now();
-        let spec = neighborhood_home(&template, &plan, home, seed);
-        let mut driver = Driver::with_sink(&spec, RunCounters::new());
-        let completed = driver.run_to_quiescence();
-        let (counters, _, _) = driver.into_output();
-        costs.push(start.elapsed().as_secs_f64());
-        assert!(completed, "neighborhood home {home} failed to quiesce");
-        reference.push(HomeRun {
-            home,
-            seed,
-            completed,
-            counters,
-        });
-    }
-    let seq_elapsed = seq_start.elapsed().as_secs_f64();
-    eprintln!(
-        "neighborhood: sequential pass {seq_elapsed:.3}s \
-         (min home {:.2}ms, max home {:.2}ms)",
-        costs.iter().cloned().fold(f64::MAX, f64::min) * 1e3,
-        costs.iter().cloned().fold(0.0, f64::max) * 1e3,
+    let stealing4 = run_fleet(
+        n_homes,
+        COMPARE_WORKERS,
+        NEIGHBORHOOD_SEED,
+        neighborhood_spec,
     );
-
-    // Real runs of both schedules at the comparison worker count (plus
-    // stealing at 2 for the cross-worker determinism check).
-    let wall_static_s;
-    let wall_stealing_s;
-    let steals;
-    let neighborhood_agree;
-    {
-        let start = Instant::now();
-        let static4 = neighborhood_fleet(
-            &template,
-            &plan,
-            n_homes,
-            COMPARE_WORKERS,
-            FleetSchedule::Static,
-        );
-        wall_static_s = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let stealing4 = neighborhood_fleet(
-            &template,
-            &plan,
-            n_homes,
-            COMPARE_WORKERS,
-            FleetSchedule::Stealing,
-        );
-        wall_stealing_s = start.elapsed().as_secs_f64();
-        steals = stealing4.worker_stats.iter().map(|s| s.steals).sum::<u64>();
-        let stealing2 = neighborhood_fleet(&template, &plan, n_homes, 2, FleetSchedule::Stealing);
-        neighborhood_agree = same_homes("neighborhood static@4", &reference, &static4.homes)
-            & same_homes("neighborhood stealing@4", &reference, &stealing4.homes)
-            & same_homes("neighborhood stealing@2", &reference, &stealing2.homes);
-        ok &= neighborhood_agree;
-        assert!(static4.all_completed() && stealing4.all_completed());
-    }
-
-    let modeled_static_s = static_makespan(&costs, COMPARE_WORKERS);
-    let modeled_stealing_s = greedy_makespan(&costs, COMPARE_WORKERS);
-    let modeled_ratio = modeled_static_s / modeled_stealing_s;
-    let wall_ratio = wall_static_s / wall_stealing_s;
-    // On a machine with enough idle cores the wall clock is the real
-    // measurement; below that it degenerates to ~1 (total CPU work is
-    // identical), so the modeled makespan is the honest basis.
-    let (basis, rate_static, rate_stealing) = if cpus >= COMPARE_WORKERS {
-        (
-            "wallclock",
-            n_homes as f64 / wall_static_s,
-            n_homes as f64 / wall_stealing_s,
-        )
-    } else {
-        (
-            "modeled_makespan",
-            n_homes as f64 / modeled_static_s,
-            n_homes as f64 / modeled_stealing_s,
-        )
-    };
-    if cpus > 1 {
-        eprintln!(
-            "steal-vs-static @ {COMPARE_WORKERS} workers: modeled {modeled_ratio:.2}x \
-             (static {modeled_static_s:.3}s vs stealing {modeled_stealing_s:.3}s), \
-             wallclock {wall_ratio:.2}x on {cpus} core(s), {steals} steals"
-        );
-    } else {
-        eprintln!(
-            "steal-vs-static @ {COMPARE_WORKERS} workers: modeled {modeled_ratio:.2}x \
-             (static {modeled_static_s:.3}s vs stealing {modeled_stealing_s:.3}s), \
-             {steals} steals; wallclock comparison skipped: both schedules do \
-             identical total work, so on 1 core the ratio only measures \
-             scheduling noise (~1.0x) and would misread as \"stealing doesn't \
-             help\" — the modeled makespan is the authoritative basis"
-        );
-    }
-
-    // Aggregate the reference pass for outcome totals.
+    let stealing2 = run_fleet(n_homes, 2, NEIGHBORHOOD_SEED, neighborhood_spec);
+    let steals: u64 = stealing4.worker_stats.iter().map(|s| s.steals).sum();
+    let neighborhood_agree = same_homes("neighborhood @4", &reference, &stealing4.homes)
+        & same_homes("neighborhood @2", &reference, &stealing2.homes);
+    ok &= neighborhood_agree;
+    let modeled_static = round_robin_makespan(&events, COMPARE_WORKERS);
+    let modeled_stealing = greedy_makespan(&events, COMPARE_WORKERS);
+    let modeled_ratio = modeled_static / modeled_stealing;
+    eprintln!(
+        "neighborhood: {n_homes} homes, {} hit by correlated outages, {} events \
+         (min home {}, max home {}); stealing {modeled_ratio:.3}x static at \
+         {COMPARE_WORKERS} workers (modeled on event counts), {steals} steals",
+        plan.affected(),
+        events.iter().sum::<u64>(),
+        events.iter().min().unwrap_or(&0),
+        events.iter().max().unwrap_or(&0),
+    );
     let reference_fleet = FleetResult {
         homes: reference,
         workers: 1,
-        schedule: FleetSchedule::Static,
         worker_stats: Vec::new(),
     };
-
-    // A sidecar section the existing sidecar at the output path lacks
-    // (a bench added after that baseline was written) is a shape
-    // change, not semantic drift in pinned homes: stamp the
-    // expect_digest_change marker automatically so a re-baseline run
-    // over the committed artifacts reports the new rows instead of
-    // tripping the digest gate spuriously. When no sidecar exists at
-    // the path (fresh CI output dir) there is nothing to compare.
-    let digest_path = format!("{}.digests.tsv", out_path.trim_end_matches(".json"));
-    let prior_sections: BTreeSet<String> = std::fs::read_to_string(&digest_path)
-        .map(|s| {
-            s.lines()
-                .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-                .filter_map(|l| l.split('\t').next().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default();
-    if !prior_sections.is_empty() {
-        for section in ["morning", "neighborhood", "journal"] {
-            if !prior_sections.contains(section) {
-                eprintln!(
-                    "sidecar gains section {section:?} (absent from the existing \
-                     {digest_path}): stamping expect_digest_change automatically"
-                );
-                expect_digest_change = true;
-            }
-        }
-    }
 
     let lat_ms: Vec<f64> = base.latencies_ms().iter().map(|&l| l as f64).collect();
     let doc = obj([
@@ -476,24 +256,21 @@ fn main() {
         (
             "description",
             Json::from(
-                "sharded multi-home driver over the §7.2 morning scenario \
-                 (29 routines / 31 devices per home, per-home jitter), \
-                 counters-only trace sink, template-batched spec construction; \
-                 steal_vs_static compares schedules on the correlated \
-                 neighborhood-outage fleet",
+                "deterministic checks of the work-stealing batch fleet driver over the \
+                 §7.2 morning scenario (29 routines / 31 devices per home, per-home \
+                 jitter) and the correlated neighborhood-outage fleet; wall-clock \
+                 throughput is measured by perfbench",
             ),
         ),
         ("homes", Json::from(homes as u64)),
         ("fleet_seed", Json::from(FLEET_SEED)),
         ("available_parallelism", Json::from(cpus as u64)),
-        ("schedule", Json::from("stealing")),
         ("results", Json::Arr(rows)),
         (
             "speedup_best_multi_over_single",
             Json::Float(round3(best_multi / single_rate)),
         ),
         ("deterministic_across_workers", Json::from(deterministic)),
-        ("schedules_agree", Json::from(morning_agree)),
         ("expect_digest_change", Json::from(expect_digest_change)),
         (
             "routine_latency_ms",
@@ -512,55 +289,22 @@ fn main() {
                 ("homes", Json::from(n_homes as u64)),
                 ("fleet_seed", Json::from(NEIGHBORHOOD_SEED)),
                 ("workers", Json::from(COMPARE_WORKERS as u64)),
-                ("available_parallelism", Json::from(cpus as u64)),
                 ("affected_homes", Json::from(plan.affected() as u64)),
-                ("basis", Json::from(basis)),
-                ("homes_per_sec_static", Json::Float(round3(rate_static))),
-                ("homes_per_sec_stealing", Json::Float(round3(rate_stealing))),
-                (
-                    "stealing_speedup_over_static",
-                    Json::Float(round3(rate_stealing / rate_static)),
-                ),
-                (
-                    "wallclock",
-                    if cpus > 1 {
-                        obj([
-                            ("static_s", Json::Float(round3(wall_static_s))),
-                            ("stealing_s", Json::Float(round3(wall_stealing_s))),
-                            (
-                                "stealing_speedup_over_static",
-                                Json::Float(round3(wall_ratio)),
-                            ),
-                        ])
-                    } else {
-                        obj([
-                            ("skipped", Json::from(true)),
-                            (
-                                "reason",
-                                Json::from(
-                                    "available_parallelism == 1: both schedules do \
-                                     identical total work, so the wallclock ratio \
-                                     only measures scheduling noise; the modeled \
-                                     makespan below is authoritative",
-                                ),
-                            ),
-                        ])
-                    },
-                ),
+                ("events_total", Json::from(events.iter().sum::<u64>())),
                 (
                     "modeled_makespan",
                     obj([
                         (
                             "method",
                             Json::from(
-                                "per-home costs measured sequentially; static = max \
-                                 round-robin worker sum, stealing = greedy least-loaded \
-                                 schedule (what the stealer converges to); equals the \
-                                 wall clock of a machine with >= `workers` idle cores",
+                                "per-home cost = events of the home's sequential run; \
+                                 static = largest round-robin worker sum, stealing = \
+                                 greedy least-loaded schedule (what the stealer \
+                                 converges to)",
                             ),
                         ),
-                        ("static_s", Json::Float(round3(modeled_static_s))),
-                        ("stealing_s", Json::Float(round3(modeled_stealing_s))),
+                        ("static_events", Json::Float(modeled_static)),
+                        ("stealing_events", Json::Float(modeled_stealing)),
                         (
                             "stealing_speedup_over_static",
                             Json::Float(round3(modeled_ratio)),
@@ -568,7 +312,6 @@ fn main() {
                     ]),
                 ),
                 ("steals", Json::from(steals)),
-                ("schedules_agree", Json::from(neighborhood_agree)),
                 (
                     "deterministic_across_workers",
                     Json::from(neighborhood_agree),
@@ -577,36 +320,16 @@ fn main() {
             ]),
         ),
         (
-            "event_loop",
-            obj([
-                (
-                    "description",
-                    Json::from(
-                        "per-home discrete-event loop: compact (time, seq) binary-heap \
-                         event queue (recycled across homes), allocation-free EffectBuf \
-                         delivery, per-device probe elision; single-worker morning \
-                         throughput is the gated number",
-                    ),
-                ),
-                ("queue", Json::from("binary_heap")),
-                ("available_parallelism", Json::from(cpus as u64)),
-                ("homes_per_sec_single", Json::Float(round3(single_rate))),
-            ]),
-        ),
-        (
             "journal",
             obj([
                 (
                     "description",
                     Json::from(
-                        "single-worker morning fleet with the per-home execution \
-                         journal enabled (every lifecycle/side-effect/deferral \
-                         record appended); digest-neutral per home vs the \
-                         unjournaled run, gated at >= 0.5x of the event_loop \
-                         baseline rate",
+                        "the morning homes driven one by one with the execution \
+                         journal on; digest-neutral per home, and the journaled rate \
+                         is compared with the same run's unjournaled single-worker rate",
                     ),
                 ),
-                ("available_parallelism", Json::from(cpus as u64)),
                 ("homes_per_sec_single", Json::Float(round3(journal_rate))),
                 (
                     "unjournaled_homes_per_sec_single",
@@ -636,7 +359,6 @@ fn main() {
                          results byte for byte",
                     ),
                 ),
-                ("available_parallelism", Json::from(cpus as u64)),
                 ("lints_per_sec", Json::Float(round3(lint_rate))),
                 ("diagnostics_total", Json::from(lint_diagnostics as u64)),
                 ("conflict_pairs_total", Json::from(lint_conflicts as u64)),
@@ -660,21 +382,15 @@ fn main() {
     }
     eprintln!("wrote {out_path}");
 
-    // Per-home digest sidecar: one line per home, so a re-run diffs to
-    // exactly the homes whose event streams changed. Tab-separated to
-    // stay `diff`- and `join`-friendly.
+    let digest_path = format!("{}.digests.tsv", out_path.trim_end_matches(".json"));
     let mut sidecar = String::from("# section\thome\tseed\tdigest\n");
-    for h in &base.homes {
-        sidecar.push_str(&format!(
-            "morning\t{}\t{:#018x}\t{:#018x}\n",
-            h.home, h.seed, h.counters.digest
-        ));
-    }
-    for h in &reference_fleet.homes {
-        sidecar.push_str(&format!(
-            "neighborhood\t{}\t{:#018x}\t{:#018x}\n",
-            h.home, h.seed, h.counters.digest
-        ));
+    for (section, fleet) in [("morning", base), ("neighborhood", &reference_fleet)] {
+        for h in &fleet.homes {
+            sidecar.push_str(&format!(
+                "{section}\t{}\t{:#018x}\t{:#018x}\n",
+                h.home, h.seed, h.counters.digest
+            ));
+        }
     }
     for (home, seed, digest) in &journal_digest_rows {
         sidecar.push_str(&format!("journal\t{home}\t{seed:#018x}\t{digest:#018x}\n"));
@@ -686,23 +402,16 @@ fn main() {
     eprintln!("wrote {digest_path}");
     if !ok {
         eprintln!(
-            "FAIL: per-home results diverged across worker counts, schedules, journaling \
-             or the lint gate (or bundled homes carried lint errors)"
+            "FAIL: per-home results diverged across worker counts, journaling, the lint \
+             gate or the sequential reference (or bundled homes carried lint errors)"
         );
         std::process::exit(1);
     }
-    // Homes are independent, so on a machine with real parallelism the
-    // multi-thread configurations must beat single-thread. On one core
-    // the ratio is scheduling noise, so it is recorded but not enforced.
     if cpus > 1 && best_multi <= single_rate {
         eprintln!(
-            "FAIL: multi-thread throughput ({best_multi:.1}/s) not above single-thread \
+            "FAIL: multi-worker throughput ({best_multi:.1}/s) not above single-worker \
              ({single_rate:.1}/s) on a {cpus}-core machine"
         );
         std::process::exit(1);
     }
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
 }

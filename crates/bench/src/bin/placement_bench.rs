@@ -1,84 +1,39 @@
 //! `placement_bench` — machine-readable Fig. 15d placement timings.
 //!
-//! Measures `timeline::place` for routines of 1–10 commands against the
-//! paper's resident state (15 devices, 30 scheduled routines) and
-//! writes `BENCH_placement.json`, so the placement-path performance
-//! trajectory is tracked across PRs alongside the human-readable
-//! `repro fig15d` output.
+//! Writes `BENCH_placement.json`: the median and fastest per-placement
+//! latency of `timeline::place` for routines of 1–10 commands against
+//! the paper's resident state (15 devices, 30 scheduled routines), as
+//! measured by `experiments::fig15d_insertion::insertion_timing` — the
+//! same timer `repro fig15d` prints.
 //!
 //! Usage:
 //! ```text
 //! cargo run -p safehome-bench --release --bin placement_bench [out.json]
 //! ```
 
-use std::time::Instant;
-
-use safehome_bench::experiments::fig15d_insertion::{random_routine, resident_state};
-use safehome_core::runtime::RoutineRun;
-use safehome_core::sched::timeline;
-use safehome_core::{EngineConfig, VisibilityModel};
-use safehome_sim::SimRng;
+use safehome_bench::experiments::fig15d_insertion::{insertion_timing, COMMANDS, REPS, SAMPLES};
+use safehome_bench::support::{available_parallelism, round3};
 use safehome_types::json::{obj, Json};
-use safehome_types::{RoutineId, Timestamp};
-
-/// Timed samples per command count; the median is reported.
-const SAMPLES: usize = 25;
-/// Placements per sample.
-const REPS: u32 = 400;
 
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_placement.json".to_string());
-    let (table, order) = resident_state(15, 30);
-    let cfg = EngineConfig::new(VisibilityModel::ev());
-    let mut results = Vec::new();
-    for commands in [1usize, 2, 4, 6, 8, 10] {
-        let mut rng = SimRng::seed_from_u64(7);
-        let run = RoutineRun::new(
-            RoutineId(999),
-            random_routine(15, commands, &mut rng),
-            Timestamp::ZERO,
-        );
-        // Warmup.
-        for _ in 0..REPS {
-            std::hint::black_box(timeline::place(
-                &run,
-                &table,
-                &order,
-                &cfg,
-                Timestamp::ZERO,
-                &|_, _| true,
-                &[],
-            ));
-        }
-        let mut samples: Vec<f64> = (0..SAMPLES)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..REPS {
-                    std::hint::black_box(timeline::place(
-                        &run,
-                        &table,
-                        &order,
-                        &cfg,
-                        Timestamp::ZERO,
-                        &|_, _| true,
-                        &[],
-                    ));
-                }
-                start.elapsed().as_secs_f64() * 1e6 / REPS as f64
-            })
-            .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let median = samples[samples.len() / 2];
-        let min = samples[0];
-        eprintln!("{commands:>3} commands: median {median:.2} µs (min {min:.2})");
-        results.push(obj([
-            ("commands", Json::from(commands as u64)),
-            ("median_us", Json::Float(round3(median))),
-            ("min_us", Json::Float(round3(min))),
-        ]));
-    }
+    let results = COMMANDS
+        .iter()
+        .map(|&commands| {
+            let t = insertion_timing(commands, SAMPLES, REPS);
+            eprintln!(
+                "{commands:>3} commands: median {:.2} µs (min {:.2})",
+                t.median_us, t.min_us
+            );
+            obj([
+                ("commands", Json::from(commands as u64)),
+                ("median_us", Json::Float(round3(t.median_us))),
+                ("min_us", Json::Float(round3(t.min_us))),
+            ])
+        })
+        .collect();
     let doc = obj([
         ("benchmark", Json::from("fig15d_insertion")),
         (
@@ -94,7 +49,7 @@ fn main() {
         ),
         (
             "available_parallelism",
-            Json::from(safehome_bench::support::available_parallelism() as u64),
+            Json::from(available_parallelism() as u64),
         ),
         ("unit", Json::from("microseconds per placement")),
         ("samples_per_point", Json::from(SAMPLES as u64)),
@@ -106,8 +61,4 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("wrote {out_path}");
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
 }

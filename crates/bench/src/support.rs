@@ -1,7 +1,7 @@
 //! Shared experiment infrastructure.
 
 use safehome_core::{EngineConfig, SchedulerKind, VisibilityModel};
-use safehome_harness::{run, Driver, RunSpec};
+use safehome_harness::{home_seed, run, Driver, HomeRun, RunSpec, Step};
 use safehome_metrics::{RunMetrics, Summary};
 use safehome_types::sink::{self, RunCounters};
 
@@ -265,6 +265,110 @@ pub fn secs(ms: f64) -> String {
     format!("{:.2}s", ms / 1_000.0)
 }
 
+/// Rounds to three decimals, for JSON artifacts.
+pub fn round3(x: f64) -> f64 {
+    (x * 1000.0).round() / 1000.0
+}
+
+/// `true` when two fleets have byte-identical per-home results; every
+/// diverging home is reported on stderr under `label`.
+pub fn same_homes(label: &str, a: &[HomeRun], b: &[HomeRun]) -> bool {
+    if a.len() != b.len() {
+        eprintln!("{label}: home count mismatch ({} vs {})", a.len(), b.len());
+        return false;
+    }
+    let mut same = true;
+    for (x, y) in a.iter().zip(b) {
+        if x != y {
+            eprintln!("{label}: home {} diverged", x.home);
+            same = false;
+        }
+    }
+    same
+}
+
+/// Drives every home of a fleet alone, in home order, on the calling
+/// thread: the per-home results no scheduler touched, and the number
+/// of events each home processed ([`Step::Event`]s). The event counts
+/// are the deterministic per-home costs the makespan models below take.
+pub fn sequential_reference(
+    homes: usize,
+    fleet_seed: u64,
+    make_spec: impl Fn(usize, u64) -> RunSpec,
+) -> (Vec<HomeRun>, Vec<u64>) {
+    let mut runs = Vec::with_capacity(homes);
+    let mut events = Vec::with_capacity(homes);
+    for home in 0..homes {
+        let seed = home_seed(fleet_seed, home as u64);
+        let spec = make_spec(home, seed);
+        let mut driver = Driver::with_sink(&spec, RunCounters::new());
+        let mut n = 0u64;
+        let completed = loop {
+            match driver.step() {
+                Step::Event(_) => n += 1,
+                Step::Idle => {}
+                Step::Quiescent => break true,
+                Step::Stalled => break false,
+            }
+        };
+        let (counters, _, _) = driver.into_output();
+        runs.push(HomeRun {
+            home,
+            seed,
+            completed,
+            counters,
+        });
+        events.push(n);
+    }
+    (runs, events)
+}
+
+/// Static batch-fleet makespan: home `i` on worker `i % workers`, the
+/// largest worker sum.
+pub fn round_robin_makespan(costs: &[u64], workers: usize) -> f64 {
+    let mut sums = vec![0u64; workers];
+    for (i, c) in costs.iter().enumerate() {
+        sums[i % workers] += c;
+    }
+    sums.into_iter().max().unwrap_or(0) as f64
+}
+
+/// Greedy least-loaded (list-scheduling) makespan: homes in index
+/// order, each onto the least-loaded worker. The batch fleet's stealer
+/// converges to this — a thief takes pending work the moment it idles.
+pub fn greedy_makespan(costs: &[u64], workers: usize) -> f64 {
+    let mut sums = vec![0u64; workers];
+    for &c in costs {
+        let least = sums.iter_mut().min().expect("at least one worker");
+        *least += c;
+    }
+    sums.into_iter().max().unwrap_or(0) as f64
+}
+
+/// Static service makespan: the service runner's contiguous shards
+/// `w*homes/workers..(w+1)*homes/workers` with no stealing, the largest
+/// shard sum.
+pub fn contiguous_makespan(costs: &[u64], workers: usize) -> f64 {
+    let homes = costs.len();
+    (0..workers)
+        .map(|w| {
+            costs[w * homes / workers..(w + 1) * homes / workers]
+                .iter()
+                .sum::<u64>()
+        })
+        .max()
+        .unwrap_or(0) as f64
+}
+
+/// Work-conserving bound `max(total / workers, largest home)`: epoch
+/// slice stealing migrates work at slice granularity, a near-preemptive
+/// schedule, so the service runner converges to it.
+pub fn stealing_bound_makespan(costs: &[u64], workers: usize) -> f64 {
+    let total: u64 = costs.iter().sum();
+    let largest = costs.iter().copied().max().unwrap_or(0);
+    (total as f64 / workers as f64).max(largest as f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,7 +477,59 @@ mod tests {
     }
 
     #[test]
+    fn makespan_models_on_a_hand_built_fleet() {
+        let costs = [10, 1, 1, 1];
+        assert_eq!(round_robin_makespan(&costs, 2), 11.0);
+        assert_eq!(greedy_makespan(&costs, 2), 10.0);
+        assert_eq!(contiguous_makespan(&costs, 2), 11.0);
+        assert_eq!(stealing_bound_makespan(&costs, 2), 10.0);
+        // Even costs: every model splits them perfectly.
+        let even = [3; 8];
+        for model in [
+            round_robin_makespan,
+            greedy_makespan,
+            contiguous_makespan,
+            stealing_bound_makespan,
+        ] {
+            assert_eq!(model(&even, 4), 6.0);
+        }
+        // Round-robin and contiguous disagree on where the heavy homes
+        // land; the stealing bound is fractional when work does not split.
+        let front = [5, 5, 1, 1];
+        assert_eq!(round_robin_makespan(&front, 2), 6.0);
+        assert_eq!(contiguous_makespan(&front, 2), 10.0);
+        assert_eq!(stealing_bound_makespan(&[2, 1], 2), 2.0);
+        assert_eq!(stealing_bound_makespan(&[1, 1, 1], 2), 1.5);
+    }
+
+    #[test]
+    fn sequential_reference_matches_the_fleet_and_counts_events() {
+        let spec = |_: usize, seed: u64| {
+            let mut spec = RunSpec::new(plug_home(2), EngineConfig::new(VisibilityModel::ev()))
+                .with_seed(seed);
+            for i in 0..=seed % 3 {
+                spec.submit(Submission::at(
+                    Routine::builder("r")
+                        .set(DeviceId(0), Value::ON, TimeDelta::from_millis(100))
+                        .build(),
+                    Timestamp::from_millis(i * 50),
+                ));
+            }
+            spec
+        };
+        let (reference, events) = sequential_reference(6, 9, spec);
+        assert_eq!(reference, safehome_harness::run_fleet(6, 2, 9, spec).homes);
+        assert!(reference.iter().all(|h| h.completed));
+        assert!(events.iter().all(|&n| n > 0));
+        // Same inputs, same counts: the costs are deterministic.
+        assert_eq!(sequential_reference(6, 9, spec).1, events);
+        assert!(same_homes("self", &reference, &reference));
+        assert!(!same_homes("prefix", &reference, &reference[..5]));
+    }
+
+    #[test]
     fn formatting_helpers() {
+        assert_eq!(round3(1.23456), 1.235);
         assert_eq!(f(1.23456), "1.235");
         assert_eq!(secs(2500.0), "2.50s");
         assert!(row(&["a".into(), "b".into()]).contains('|'));

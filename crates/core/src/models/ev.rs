@@ -51,7 +51,8 @@ pub struct EvModel {
     table: LineageTable,
     order: OrderTracker,
     health: HealthView,
-    event_log: BTreeMap<DeviceId, Vec<OrderNode>>,
+    /// Latest failure/restart event node per device. A device's events
+    /// form a chain in the order, so this one node stands for them all.
     last_event: BTreeMap<DeviceId, OrderNode>,
     /// JiT: submitted routines whose eligibility test has not yet passed.
     waiting: Vec<RoutineId>,
@@ -83,7 +84,6 @@ impl EvModel {
             table: LineageTable::new(initial),
             order: OrderTracker::new(),
             health: HealthView::default(),
-            event_log: BTreeMap::new(),
             last_event: BTreeMap::new(),
             waiting: Vec::new(),
             expired: BTreeSet::new(),
@@ -331,13 +331,12 @@ impl EvModel {
             return true;
         }
         // Rule 2 (§3): events detected before the first touch serialize
-        // before the routine.
+        // before the routine. The device's events are chained, so an
+        // edge from the latest one orders every earlier one too.
         let first_touch = !self.runs.get(id).expect("checked").touched(d);
         if first_touch {
-            if let Some(events) = self.event_log.get(&d).cloned() {
-                for ev in events {
-                    self.order.add_edge(ev, OrderNode::Routine(id));
-                }
+            if let Some(&ev) = self.last_event.get(&d) {
+                self.order.add_edge(ev, OrderNode::Routine(id));
             }
         }
         self.table.acquire(d, id, pc, now);
@@ -565,7 +564,6 @@ impl Model for EvModel {
             self.order.add_edge(prev, fnode);
         }
         self.last_event.insert(device, fnode);
-        self.event_log.entry(device).or_default().push(fnode);
         for id in self.runs.ids() {
             let Some(run) = self.runs.get(id) else {
                 continue;
@@ -597,7 +595,6 @@ impl Model for EvModel {
             self.order.add_edge(prev, renode);
         }
         self.last_event.insert(device, renode);
-        self.event_log.entry(device).or_default().push(renode);
         self.pump(now, out);
     }
 

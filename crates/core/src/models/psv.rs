@@ -35,8 +35,8 @@ pub struct PsvModel {
     committed: BTreeMap<DeviceId, Value>,
     mirror: BTreeMap<DeviceId, Value>,
     health: HealthView,
-    /// Chronological failure/restart event nodes per device.
-    event_log: BTreeMap<DeviceId, Vec<OrderNode>>,
+    /// Latest failure/restart event node per device. A device's events
+    /// form a chain in the order, so this one node stands for them all.
     last_event: BTreeMap<DeviceId, OrderNode>,
     /// Rule 3*: failures after a routine's last touch, re-checked at its
     /// finish point.
@@ -59,7 +59,6 @@ impl PsvModel {
             committed: initial.clone(),
             mirror: initial.clone(),
             health: HealthView::default(),
-            event_log: BTreeMap::new(),
             last_event: BTreeMap::new(),
             pending_after: BTreeMap::new(),
             outstanding_rollbacks: BTreeMap::new(),
@@ -128,12 +127,12 @@ impl PsvModel {
             }
             // Rule 2 (§3): failure/restart events detected before the
             // first touch of this device serialize before the routine.
+            // The device's events are chained, so an edge from the
+            // latest one orders every earlier one too.
             let first_touch = !self.runs.get(id).expect("checked").touched(cmd.device);
             if first_touch {
-                if let Some(events) = self.event_log.get(&cmd.device) {
-                    for &ev in events.clone().iter() {
-                        self.order.add_edge(ev, OrderNode::Routine(id));
-                    }
+                if let Some(&ev) = self.last_event.get(&cmd.device) {
+                    self.order.add_edge(ev, OrderNode::Routine(id));
                 }
             }
             let run = self.runs.get_mut(id).expect("checked above");
@@ -351,7 +350,6 @@ impl Model for PsvModel {
             self.order.add_edge(prev, fnode);
         }
         self.last_event.insert(device, fnode);
-        self.event_log.entry(device).or_default().push(fnode);
         self.apply_failure_rules(device, fnode, now, out);
     }
 
@@ -362,7 +360,6 @@ impl Model for PsvModel {
             self.order.add_edge(prev, renode);
         }
         self.last_event.insert(device, renode);
-        self.event_log.entry(device).or_default().push(renode);
         // Restarts abort nothing under PSV; deferred dispatches proceed.
     }
 

@@ -6,25 +6,20 @@
 //! each with its own [`Driver`], event queue and counters-only sink, and
 //! collects per-home results over an `mpsc` channel.
 //!
-//! Two schedules ([`FleetSchedule`]):
-//!
-//! - [`FleetSchedule::Static`] — home `i` runs on worker `i % workers`
-//!   (the original round-robin sharding). Optimal when homes cost about
-//!   the same; on heterogeneous fleets the worker that drew the
-//!   failure-heavy homes (~10× the events of a clean home) finishes long
-//!   after the rest have gone idle.
-//! - [`FleetSchedule::Stealing`] — the default: a sharded injector of
-//!   home indices (one lock-free cursor per worker over a contiguous
-//!   range) feeding per-worker LIFO deques, with random-victim stealing
-//!   once a worker's own shard runs dry. Built on `std::sync` only.
+//! Scheduling is work stealing: a sharded injector of home indices (one
+//! lock-free cursor per worker over a contiguous range) feeding
+//! per-worker LIFO deques, with random-victim stealing once a worker's
+//! own shard runs dry. Built on `std::sync` only. On heterogeneous
+//! fleets (failure-heavy homes cost ~10× the events of a clean one) no
+//! worker idles while another still holds a backlog.
 //!
 //! Determinism: a home's seed is derived only from the fleet seed and the
 //! home index ([`home_seed`]), and homes never share mutable state, so
 //! per-home results are byte-identical regardless of the worker-thread
-//! count *and* of the schedule — which worker runs a home changes
-//! nothing about the home. [`FleetResult::worker_stats`] is the only
-//! scheduling-dependent output and is excluded from every determinism
-//! comparison.
+//! count and to a sequential per-home [`Driver`] run — which worker runs
+//! a home changes nothing about the home. [`FleetResult::worker_stats`]
+//! is the only scheduling-dependent output and is excluded from every
+//! determinism comparison.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,17 +42,6 @@ pub fn home_seed(fleet_seed: u64, home: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// How homes are assigned to worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FleetSchedule {
-    /// Round-robin: home `i` runs on worker `i % workers`.
-    Static,
-    /// Work stealing: per-worker shard cursors + LIFO deques with
-    /// random-victim stealing. The default.
-    #[default]
-    Stealing,
-}
-
 /// Per-worker scheduling statistics. Scheduling-dependent (unlike the
 /// per-home results), so informational only: never compare these across
 /// runs. Shared with the resident service runner, whose unit of work is
@@ -69,8 +53,8 @@ pub struct WorkerStats {
     pub homes_run: usize,
     /// Successful steals: batches taken from another worker's shard
     /// cursor or deque (batch fleet), or slices popped from a victim
-    /// shard's timer queue (service). Always 0 under
-    /// [`FleetSchedule::Static`] and with service stealing off.
+    /// shard's timer queue (service). Always 0 at one worker and with
+    /// service stealing off.
     pub steals: u64,
     /// Epoch slices this worker executed. Always 0 for the batch fleet
     /// driver, which has no slicing.
@@ -97,8 +81,6 @@ pub struct FleetResult {
     pub homes: Vec<HomeRun>,
     /// Worker threads used.
     pub workers: usize,
-    /// The schedule that produced this result.
-    pub schedule: FleetSchedule,
     /// Per-worker scheduling statistics (informational; see
     /// [`WorkerStats`]).
     pub worker_stats: Vec<WorkerStats>,
@@ -184,25 +166,6 @@ impl Shard {
     }
 }
 
-/// Runs `homes` independent homes across `workers` threads under the
-/// default [`FleetSchedule::Stealing`] schedule.
-///
-/// `make_spec(home, seed)` builds home `home`'s spec from its derived
-/// seed; it runs on the worker threads, so it must be `Sync`. Results
-/// return over an `mpsc` channel and are re-sorted by home index.
-pub fn run_fleet<F>(homes: usize, workers: usize, fleet_seed: u64, make_spec: F) -> FleetResult
-where
-    F: Fn(usize, u64) -> RunSpec + Sync,
-{
-    run_fleet_with(
-        homes,
-        workers,
-        fleet_seed,
-        FleetSchedule::default(),
-        make_spec,
-    )
-}
-
 /// A spec the pre-run gate refused: which home, its derived seed, and
 /// the gate's message (for `safehome-lint` gates, the rendered
 /// Error-severity diagnostics).
@@ -226,7 +189,7 @@ impl std::fmt::Display for SpecRejection {
     }
 }
 
-/// [`run_fleet_with`] behind a pre-run spec gate: every home's spec is
+/// [`run_fleet`] behind a pre-run spec gate: every home's spec is
 /// validated (serially, in home order) *before* any home executes, and
 /// the first rejection aborts the whole fleet with nothing run. The
 /// canonical gate is `safehome-lint`'s Error-severity check
@@ -235,13 +198,12 @@ impl std::fmt::Display for SpecRejection {
 ///
 /// Gating never perturbs execution: an accepted fleet's per-home results
 /// — digests included — are byte-identical to the ungated
-/// [`run_fleet_with`] (specs are rebuilt from the same seeds, and the
+/// [`run_fleet`] (specs are rebuilt from the same seeds, and the
 /// gate only reads them).
 pub fn run_fleet_gated<F, G>(
     homes: usize,
     workers: usize,
     fleet_seed: u64,
-    schedule: FleetSchedule,
     gate: G,
     make_spec: F,
 ) -> Result<FleetResult, SpecRejection>
@@ -258,21 +220,16 @@ where
             message,
         })?;
     }
-    Ok(run_fleet_with(
-        homes, workers, fleet_seed, schedule, make_spec,
-    ))
+    Ok(run_fleet(homes, workers, fleet_seed, make_spec))
 }
 
-/// [`run_fleet`] with an explicit schedule. `Static` and `Stealing`
-/// produce byte-identical [`FleetResult::homes`] — the schedule only
-/// decides which worker runs which home, never what a home does.
-pub fn run_fleet_with<F>(
-    homes: usize,
-    workers: usize,
-    fleet_seed: u64,
-    schedule: FleetSchedule,
-    make_spec: F,
-) -> FleetResult
+/// Runs `homes` independent homes across `workers` threads with work
+/// stealing.
+///
+/// `make_spec(home, seed)` builds home `home`'s spec from its derived
+/// seed; it runs on the worker threads, so it must be `Sync`. Results
+/// return over an `mpsc` channel and are re-sorted by home index.
+pub fn run_fleet<F>(homes: usize, workers: usize, fleet_seed: u64, make_spec: F) -> FleetResult
 where
     F: Fn(usize, u64) -> RunSpec + Sync,
 {
@@ -305,20 +262,9 @@ where
                 let tx = tx.clone();
                 scope.spawn(move || {
                     let mut stats = WorkerStats::default();
-                    match schedule {
-                        FleetSchedule::Static => {
-                            for home in (w..homes).step_by(workers) {
-                                let _ = tx.send(run_home(home, fleet_seed, make_spec));
-                                stats.homes_run += 1;
-                            }
-                        }
-                        FleetSchedule::Stealing => {
-                            steal_loop(
-                                w, workers, batch, fleet_seed, shards, deques, &tx, make_spec,
-                                &mut stats,
-                            );
-                        }
-                    }
+                    steal_loop(
+                        w, workers, batch, fleet_seed, shards, deques, &tx, make_spec, &mut stats,
+                    );
                     stats
                 })
             })
@@ -334,7 +280,6 @@ where
     FleetResult {
         homes: results,
         workers,
-        schedule,
         worker_stats,
     }
 }
@@ -487,57 +432,44 @@ mod tests {
 
     #[test]
     fn stealing_matches_static_per_home_and_digest() {
-        let reference = run_fleet_with(13, 1, 77, FleetSchedule::Static, tiny_home);
-        assert!(reference.all_completed());
-        for schedule in [FleetSchedule::Static, FleetSchedule::Stealing] {
-            for workers in [1, 2, 3, 4, 13] {
-                let other = run_fleet_with(13, workers, 77, schedule, tiny_home);
-                assert_eq!(
-                    reference.homes, other.homes,
-                    "{schedule:?} at {workers} workers must match the static single-thread run"
-                );
-                assert_eq!(reference.digest(), other.digest());
-                assert_eq!(other.schedule, schedule);
-                assert_eq!(
-                    other
-                        .worker_stats
-                        .iter()
-                        .map(|s| s.homes_run)
-                        .sum::<usize>(),
-                    13,
-                    "every home is run exactly once ({schedule:?}, {workers} workers)"
-                );
-            }
+        // The reference is each home driven alone, in order, on this
+        // thread: no scheduler at all.
+        let reference: Vec<HomeRun> = (0..13).map(|h| run_home(h, 77, &tiny_home)).collect();
+        assert!(reference.iter().all(|h| h.completed));
+        for workers in [1, 2, 3, 4, 13] {
+            let other = run_fleet(13, workers, 77, tiny_home);
+            assert_eq!(
+                reference, other.homes,
+                "{workers} workers must match the sequential per-home runs"
+            );
+            assert_eq!(
+                other
+                    .worker_stats
+                    .iter()
+                    .map(|s| s.homes_run)
+                    .sum::<usize>(),
+                13,
+                "every home is run exactly once ({workers} workers)"
+            );
         }
-    }
-
-    #[test]
-    fn static_schedule_never_steals() {
-        let fleet = run_fleet_with(8, 4, 3, FleetSchedule::Static, tiny_home);
-        assert!(fleet.worker_stats.iter().all(|s| s.steals == 0));
-        // Round-robin: every worker gets exactly its stride share.
-        assert!(fleet.worker_stats.iter().all(|s| s.homes_run == 2));
     }
 
     #[test]
     fn empty_fleet_is_fine_under_both_schedules() {
-        for schedule in [FleetSchedule::Static, FleetSchedule::Stealing] {
-            let fleet = run_fleet_with(0, 4, 1, schedule, tiny_home);
-            assert!(fleet.homes.is_empty());
-            assert_eq!(fleet.workers, 1, "workers clamp to at least one");
-            assert!(fleet.all_completed(), "vacuously true");
-        }
+        let fleet = run_fleet(0, 4, 1, tiny_home);
+        assert!(fleet.homes.is_empty());
+        assert_eq!(fleet.workers, 1, "workers clamp to at least one");
+        assert!(fleet.all_completed(), "vacuously true");
     }
 
     #[test]
     fn gated_fleet_matches_ungated_when_gate_accepts() {
-        let plain = run_fleet_with(9, 2, 42, FleetSchedule::Stealing, tiny_home);
+        let plain = run_fleet(9, 2, 42, tiny_home);
         let gated_specs = std::sync::atomic::AtomicUsize::new(0);
         let gated = run_fleet_gated(
             9,
             2,
             42,
-            FleetSchedule::Stealing,
             |_, spec| {
                 gated_specs.fetch_add(spec.submissions.len(), std::sync::atomic::Ordering::Relaxed);
                 Ok(())
@@ -559,7 +491,6 @@ mod tests {
             5,
             2,
             42,
-            FleetSchedule::Static,
             |home, _| {
                 if home == 3 {
                     Err("synthetic gate failure".into())

@@ -17,9 +17,8 @@
 //!
 //! Two entry points: [`run`] drives one spec to quiescence and returns
 //! its full trace; [`fleet::run_fleet`] spreads many independent homes
-//! across worker threads — statically sharded or work-stealing
-//! ([`fleet::FleetSchedule`]) — with counters-only sinks for fleet-scale
-//! throughput.
+//! across work-stealing worker threads with counters-only sinks for
+//! fleet-scale throughput.
 //!
 //! Pre-run validation: [`sim::Driver::with_sink_checked`] and
 //! [`fleet::run_fleet_gated`] accept a caller-supplied gate that inspects
@@ -40,8 +39,7 @@ pub mod sim;
 pub mod spec;
 
 pub use fleet::{
-    home_seed, run_fleet, run_fleet_gated, run_fleet_with, FleetResult, FleetSchedule, HomeRun,
-    SpecRejection, WorkerStats,
+    home_seed, run_fleet, run_fleet_gated, FleetResult, HomeRun, SpecRejection, WorkerStats,
 };
 pub use journal::{recover, InflightWrite, Recovered, RecoveryReport, ReplayBackend};
 pub use runtime::{Backend, CommandOutcome, HomeRuntime, HomeTables, Polled, RuntimeCore, Step};

@@ -46,13 +46,12 @@
 //!
 //! # Eviction
 //!
-//! With [`ServiceConfig::max_resident`] set, every home runs journaled
-//! (digest-neutral, see [`crate::journal`]) and the runner bounds how
-//! many keep their pooled simulator state hot. Between slices, a parked
-//! home that is *cold* — engine quiescent, nothing pending but future
-//! workload submissions, no failure plan, absolute arrivals only — may
-//! be **evicted**: its controller ([`RuntimeCore`]: engine, counter
-//! sink, submission tables and the compact journal) is parked whole
+//! With [`ServiceConfig::max_resident`] set, the runner bounds how
+//! many homes keep their pooled simulator state hot. Between slices, a
+//! parked home that is *cold* — engine quiescent, nothing pending but
+//! future workload submissions, no failure plan, absolute arrivals only
+//! — may be **evicted**: its controller ([`RuntimeCore`]: engine,
+//! counter sink and submission tables) is parked whole
 //! ([`HomeRuntime::park`]), its world collapses to the per-device
 //! states plus the RNG position, and its queue and device storage go
 //! back to the thread pool ([`SimBackend::into_world_snapshot`]). When
@@ -62,18 +61,21 @@
 //! controller, and [`HomeRuntime::reschedule_arrivals`] re-schedules
 //! the unsubmitted arrivals at their original absolute times, so the
 //! continuation is event-for-event identical to a never-evicted run.
-//! The journal stays the crash-recovery source of truth: a test replays
-//! a copy of it at every eviction of a small fleet and checks the result
-//! equals the parked controller. Victims are chosen coldest-first
-//! (farthest next-event time) across *every* shard's parked candidates
-//! whenever the fleet-wide resident count exceeds the budget — the
-//! budget is global, and a worker stealing slices from a busy shard
-//! keeps recovering that shard's homes while the cold ones sit parked
-//! elsewhere. Homes that are not cold simply stay resident, so the true
-//! bound is `max_resident` plus however many homes are warm at the same
-//! instant (mid-routine across an epoch boundary, carrying a failure
-//! plan, or in a worker's hand): on a calm fleet that is a handful, in
-//! a fleet-wide burst it can transiently be most of the fleet.
+//! Eviction never reads a journal, so the runner builds its homes
+//! without one; journaling stays a caller's choice
+//! ([`Driver::with_journal`]), and a test that journals explicitly
+//! replays a copy of the journal at every eviction of a small fleet and
+//! checks the result equals the parked controller. Victims are chosen
+//! coldest-first (farthest next-event time) across *every* shard's
+//! parked candidates whenever the fleet-wide resident count exceeds the
+//! budget — the budget is global, and a worker stealing slices from a
+//! busy shard keeps recovering that shard's homes while the cold ones
+//! sit parked elsewhere. Homes that are not cold simply stay resident,
+//! so the true bound is `max_resident` plus however many homes are warm
+//! at the same instant (mid-routine across an epoch boundary, carrying a
+//! failure plan, or in a worker's hand): on a calm fleet that is a
+//! handful, in a fleet-wide burst it can transiently be most of the
+//! fleet.
 //!
 //! Latency accounting: routine finish latencies are drained after every
 //! slice into a constant-memory [`LatencyHistogram`] per worker, merged
@@ -107,10 +109,9 @@ pub struct ServiceConfig {
     /// default; turning it off reproduces the static PR 8 behaviour
     /// (useful for A/B digest checks and steal-benefit measurement).
     pub steal: bool,
-    /// Fleet-wide resident-home budget. `Some(n)` journals every home
-    /// and evicts cold parked homes, farthest next event first, whenever
-    /// more than `n` are resident; `None` (the default) keeps every home
-    /// hot and skips journaling.
+    /// Fleet-wide resident-home budget. `Some(n)` evicts cold parked
+    /// homes, farthest next event first, whenever more than `n` are
+    /// resident; `None` (the default) keeps every home hot.
     pub max_resident: Option<usize>,
 }
 
@@ -178,10 +179,10 @@ pub struct ServiceResult {
     pub approx_resident_home_bytes: usize,
     /// Approximate heap bytes one *evicted* home retains (largest
     /// observed sample): its parked controller — the core struct, the
-    /// compact journal, the submission tables and the counter sink's
-    /// vectors — plus the world snapshot (device states, RNG). The
-    /// engine's heap and the sink's maps are not chased (see
-    /// `RuntimeCore::approx_bytes`). 0 when nothing was evicted.
+    /// submission tables and the counter sink's vectors — plus the world
+    /// snapshot (device states, RNG). The engine's heap and the sink's
+    /// maps are not chased (see `RuntimeCore::approx_bytes`). 0 when
+    /// nothing was evicted.
     pub approx_evicted_home_bytes: usize,
 }
 
@@ -259,10 +260,10 @@ struct HomeSlot<'a> {
     cell: Cell<'a>,
     drained: usize,
     /// Statically evictable: eviction enabled, no failure plan (hence no
-    /// probe loops or injections) and absolute arrivals only (replay's
-    /// pending-submit order is then provably the original schedule
-    /// order). The dynamic half — quiescent, only future submissions
-    /// pending — is re-checked at every park.
+    /// probe loops or injections) and absolute arrivals only (the
+    /// resumed home's re-scheduled submissions then provably keep the
+    /// original schedule order). The dynamic half — quiescent, only
+    /// future submissions pending — is re-checked at every park.
     evictable_spec: bool,
 }
 
@@ -284,8 +285,8 @@ enum Cell<'a> {
 }
 
 /// Everything an evicted home is: its quiescent controller, parked
-/// whole (engine, counter sink, tables and the compact journal), plus
-/// the world snapshot (device states, RNG position).
+/// whole (engine, counter sink and tables), plus the world snapshot
+/// (device states, RNG position).
 struct EvictedHome<'a> {
     core: RuntimeCore<'a, RunCounters>,
     device_states: Vec<Value>,
@@ -325,6 +326,12 @@ impl<'a> EvictedHome<'a> {
             + self.device_states.capacity() * std::mem::size_of::<Value>()
             + std::mem::size_of::<SimRng>()
     }
+}
+
+/// A home as the runner builds it. Eviction parks the controller whole
+/// and never replays, so no home carries a journal.
+fn resident_home(spec: &RunSpec) -> Driver<'_, RunCounters> {
+    Driver::with_sink(spec, RunCounters::new())
 }
 
 /// Approximate heap bytes of a home's controller: the core's own
@@ -563,15 +570,7 @@ fn service_worker<'a>(
     let mut hist = LatencyHistogram::new();
 
     for home in lo..hi {
-        let spec = &ctx.specs[home];
-        // Eviction needs the journal as the durable half of the home;
-        // journaling is digest-neutral, so the knob never changes
-        // results (pinned by `journaling_is_digest_neutral`).
-        let d = if ctx.max_resident.is_some() {
-            Driver::with_journal(spec, RunCounters::new())
-        } else {
-            Driver::with_sink(spec, RunCounters::new())
-        };
+        let d = resident_home(&ctx.specs[home]);
         let next = d.backend().next_event_at().unwrap_or(Timestamp::ZERO);
         if home == lo {
             ctx.resident_bytes
@@ -593,7 +592,7 @@ fn service_worker<'a>(
         }
         // Evict-at-birth keeps even the construction phase inside the
         // budget: a fresh all-`At` home is already cold (nothing
-        // submitted yet), so it can park behind its genesis journal.
+        // submitted yet), so it can park at once.
         evict_over_budget(ctx, w);
     }
 
@@ -915,7 +914,7 @@ mod tests {
                         .core
                         .journal
                         .as_ref()
-                        .expect("evicted homes journal")
+                        .expect("this test journals explicitly")
                         .journal()
                         .clone();
                     journal.check_invariants().expect("parked journal is valid");
@@ -957,6 +956,22 @@ mod tests {
             evictions > 40,
             "the fleet must hit many cold points ({evictions})"
         );
+    }
+
+    /// The runner's homes are journal-free, so what eviction parks is
+    /// the controller alone.
+    #[test]
+    fn evicted_homes_carry_no_journal() {
+        let spec = evictable_home(0, home_seed(0xE71C, 0));
+        let d = resident_home(&spec);
+        assert!(is_cold(&d), "a fresh all-`At` home is cold at birth");
+        let parked = EvictedHome::park(d);
+        assert!(parked.core.journal.is_none());
+        let mut resumed = parked.resume(&spec);
+        assert!(resumed.run_to_quiescence());
+        let mut want = Driver::with_sink(&spec, RunCounters::new());
+        assert!(want.run_to_quiescence());
+        assert_eq!(resumed.into_output().0, want.into_output().0);
     }
 
     #[test]
